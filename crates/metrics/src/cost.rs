@@ -22,10 +22,11 @@ pub struct RunCost {
     /// Peak number of candidate configurations the predictor evaluated
     /// per slot (deterministic, spec-derived).
     pub peak_candidates: usize,
-    /// Peak bytes of trace-derived data the job held — the full
-    /// materialized trace on the cached path; on the streamed path one
-    /// day's buffer plus the metrics log when the horizon is short
-    /// enough to materialize it. Varies with cache policy and
+    /// Peak bytes of trace-derived data the job held — the cached slot
+    /// series on the materialized path (16 B per slot: start sample
+    /// and mean power); on the streamed path one day's sample buffer
+    /// plus the metrics log when the horizon is short enough to
+    /// materialize it. Varies with cache policy and
     /// warm/cold state, so it belongs in text reports only, never in
     /// byte-pinned JSON.
     pub peak_trace_bytes: usize,

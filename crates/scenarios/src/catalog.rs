@@ -446,18 +446,36 @@ impl Scenario {
 
     /// JSON form.
     pub fn to_json(&self) -> Json {
-        Json::obj([
+        self.json_fields(Some(self.days))
+    }
+
+    /// The rendered JSON form with `days` left out. Together with
+    /// `days` it identifies the scenario exactly, and two scenarios
+    /// that render equal here differ at most in their horizon — the
+    /// fleet engine keys its caches and recognizes day-appends by
+    /// this one render per scenario per run.
+    pub fn render_without_days(&self) -> String {
+        self.json_fields(None).render()
+    }
+
+    fn json_fields(&self, days: Option<usize>) -> Json {
+        let mut fields = vec![
             ("name", Json::Str(self.name.clone())),
             ("summary", Json::Str(self.summary.clone())),
             ("site", self.site.to_json()),
-            ("days", Json::Num(self.days as f64)),
+        ];
+        if let Some(days) = days {
+            fields.push(("days", Json::Num(days as f64)));
+        }
+        fields.extend([
             ("slots_per_day", Json::Num(self.slots_per_day as f64)),
             ("node", self.node.to_json()),
             (
                 "faults",
                 Json::Arr(self.faults.iter().map(FaultSpec::to_json).collect()),
             ),
-        ])
+        ]);
+        Json::obj(fields)
     }
 
     /// Parses and validates the JSON form.
@@ -780,6 +798,24 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn render_without_days_is_the_json_form_minus_its_horizon() {
+        for scenario in Catalog::builtin().scenarios() {
+            let full = scenario.to_json().render();
+            let without = scenario.render_without_days();
+            assert_eq!(
+                full.replace(&format!("\"days\":{},", scenario.days), ""),
+                without
+            );
+            let mut longer = scenario.clone();
+            longer.days += 3;
+            assert_eq!(longer.render_without_days(), without);
+            let mut renamed = scenario.clone();
+            renamed.name.push_str("-b");
+            assert_ne!(renamed.render_without_days(), without);
+        }
+    }
 
     #[test]
     fn builtin_catalog_validates_and_is_diverse() {

@@ -60,8 +60,9 @@
 //! # Materialize or stream
 //!
 //! The [`TraceCachePolicy`] decides, per scenario, whether its trace is
-//! generated once into the shared cache (the pass then walks the cached
-//! `SlotView` — and later runs reuse the trace for free) or
+//! generated once into the shared cache — as the slot series the pass
+//! reads, `(start_sample, mean_power)` per slot, 16 B per slot, so the
+//! pass walks it directly and later runs reuse it for free — or
 //! **streamed**: the slot sequence is generated on the fly, holding one
 //! day of samples instead of the full horizon. Both sources produce
 //! identical slot values into the same machines, so outcomes are
@@ -75,7 +76,7 @@
 //!
 //! A tuning loop re-runs near-identical matrices dozens of times,
 //! changing only the predictor axis between rounds. [`FleetCache`]
-//! makes that cheap: it memoizes generated traces per scenario and
+//! makes that cheap: it memoizes slot series per scenario and
 //! finished [`JobOutcome`]s per (scenario, predictor, manager) triple,
 //! so [`FleetEngine::run_cached`] evaluates **only the jobs whose axis
 //! value changed**. Because every job is a pure function of its triple
@@ -111,7 +112,9 @@ use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use solar_predict::Predictor;
 use solar_synth::{SynthCheckpoint, SynthCounters, TraceGenerator};
-use solar_trace::{PowerTrace, SlotView, SlotsPerDay};
+#[cfg(test)]
+use solar_trace::PowerTrace;
+use solar_trace::SlotsPerDay;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -133,8 +136,8 @@ pub struct JobOutcome {
     pub report: NodeReport,
     /// What the job cost: wall time (both passes; non-deterministic),
     /// the predictor's peak candidate count (deterministic), and the
-    /// peak trace bytes held (full trace when materialized, one day's
-    /// buffer when streamed).
+    /// peak trace bytes held (the cached slot series, 16 B per slot,
+    /// when materialized; one day's sample buffer when streamed).
     pub cost: RunCost,
 }
 
@@ -243,6 +246,11 @@ impl ShardedFleetResult {
 
 /// How much memory the engine may spend on materialized traces.
 ///
+/// A materialized trace is cached as its slot series — one
+/// `(start_sample, mean_power)` pair per slot, 16 B per slot — so a
+/// budget counts slots, not raw samples: a 30-day, 48-slot scenario
+/// costs 23,040 B whatever its sample resolution.
+///
 /// Scenarios are admitted greedily in matrix order — a deterministic
 /// admission order depending only on the matrix and the resolved
 /// budget; a scenario whose trace would push the running total past the
@@ -255,8 +263,8 @@ impl ShardedFleetResult {
 pub enum TraceCachePolicy {
     /// Materialize every trace (the classic engine behaviour).
     Unbounded,
-    /// Materialize traces until this many bytes of trace data are held;
-    /// stream the rest.
+    /// Materialize traces until this many bytes of slot series (16 B
+    /// per slot) are held; stream the rest.
     Bounded(u64),
     /// Size the trace budget from a memory ceiling: `1/8` of the
     /// configured ceiling when given, else `1/8` of the machine's
@@ -367,6 +375,12 @@ impl TraceCachePolicy {
     /// between calls; the engine resolves it **once** per run, keeping
     /// the admission split fixed within a run.
     pub fn resolve(&self) -> ResolvedTraceBudget {
+        self.resolve_with(detected_available_memory_bytes)
+    }
+
+    /// [`TraceCachePolicy::resolve`] with `probe` standing in for the
+    /// machine's available-memory detection.
+    fn resolve_with(&self, probe: MemoryProbe) -> ResolvedTraceBudget {
         match *self {
             TraceCachePolicy::Unbounded => ResolvedTraceBudget {
                 bytes: None,
@@ -379,7 +393,7 @@ impl TraceCachePolicy {
             TraceCachePolicy::Adaptive { ceiling_bytes } => {
                 let (ceiling, source) = match ceiling_bytes {
                     Some(ceiling) => (Some(ceiling), TraceBudgetSource::AdaptiveCeiling),
-                    None => match detected_available_memory_bytes() {
+                    None => match probe() {
                         Some(available) => {
                             (Some(available), TraceBudgetSource::AdaptiveDetectedMemory)
                         }
@@ -418,8 +432,14 @@ impl Default for TraceCachePolicy {
     }
 }
 
+/// Reports the machine's available memory in bytes, or `None` when it
+/// cannot tell. [`FleetEngine::with_memory_probe`] replaces the default
+/// (`/proc/meminfo` `MemAvailable`) so tests can pin what an adaptive
+/// policy detects.
+pub type MemoryProbe = fn() -> Option<u64>;
+
 /// `MemAvailable` from `/proc/meminfo`, in bytes (`None` off Linux or
-/// when unreadable).
+/// when unreadable) — the default [`MemoryProbe`].
 fn detected_available_memory_bytes() -> Option<u64> {
     if !cfg!(target_os = "linux") {
         return None;
@@ -432,41 +452,78 @@ fn detected_available_memory_bytes() -> Option<u64> {
     Some(kib * 1024)
 }
 
-/// One materialized trace's memory footprint: the struct itself, its
-/// label bytes, and its samples. **Both** the cache's accounting
+/// One materialized trace's memory footprint: 16 B per slot, its
+/// `(start_sample, mean_power)` pair. **Both** the cache's accounting
 /// ([`FleetCache::trace_bytes`]) and the admission estimate
 /// ([`FleetEngine`]'s per-scenario projection) go through this helper,
-/// so the bytes an adaptive [`TraceCachePolicy`] budgets against are
-/// the bytes the cache will actually report once the trace exists.
-fn trace_footprint_bytes(label_len: usize, sample_count: usize) -> usize {
-    std::mem::size_of::<PowerTrace>() + label_len + sample_count * std::mem::size_of::<f64>()
+/// so the bytes a [`TraceCachePolicy`] budgets against are the bytes
+/// the cache will actually report once the series exists.
+fn trace_footprint_bytes(slot_count: usize) -> usize {
+    slot_count * std::mem::size_of::<(f64, f64)>()
 }
 
-/// The generator state at the end of a materialized trace, stored per
-/// scenario *name*: a day-append re-keys the trace under the grown
-/// scenario's JSON by generating only the appended days from here.
+/// A scenario's cache identity: its JSON rendered once per run without
+/// `days` (see [`Scenario::render_without_days`]), plus `days`. Equal
+/// keys mean byte-equal scenario JSON; equal renders with a larger
+/// `days` mean a day-append.
+type ScenarioKey = (Arc<str>, usize);
+
+/// One scenario's materialized trace as the engine reads it: the slot
+/// series, plus the generator state at its end so a day-append pushes
+/// only the appended days' slots onto the series in place.
 #[derive(Clone, Debug)]
-struct TraceTail {
-    /// The scenario's full JSON form at the stored horizon (also the
-    /// key its trace sits under in [`FleetCache::traces`]).
-    scenario_json: String,
-    /// The stored horizon in days.
+struct CachedTrace {
+    /// The horizon the series reaches.
     days: usize,
+    /// `(start_sample, mean_power)` per slot, day-major.
+    slots: Vec<(f64, f64)>,
     /// Generator state positioned at `days`.
     tail: SynthCheckpoint,
+}
+
+impl CachedTrace {
+    /// Synthesizes the slots from `from` (day zero when `None`) up to
+    /// `days` by draining a [`solar_synth::SlotStream`], so no
+    /// full-resolution trace is ever built. Returns the synthesis cost
+    /// alongside; a continuation from `from` holds only the new days'
+    /// slots and joins its series through [`CachedTrace::append`].
+    fn synthesize(
+        generator: &TraceGenerator,
+        from: Option<SynthCheckpoint>,
+        days: usize,
+        n: SlotsPerDay,
+    ) -> Result<(CachedTrace, SynthCounters), String> {
+        let mut stream = match from {
+            None => generator.slot_stream(days, n),
+            Some(tail) => generator.slot_stream_from(tail, days, n),
+        }
+        .map_err(|e| e.to_string())?;
+        let mut slots = Vec::with_capacity(stream.size_hint().0);
+        slots.extend(stream.by_ref().map(|s| (s.start_sample, s.mean_power)));
+        let tail = stream
+            .checkpoint()
+            .expect("a drained stream sits at a day boundary");
+        Ok((CachedTrace { days, slots, tail }, stream.counters()))
+    }
+
+    /// Pushes a continuation synthesized from this series' tail onto
+    /// the series.
+    fn append(&mut self, continuation: CachedTrace) {
+        self.slots.reserve_exact(continuation.slots.len());
+        self.slots.extend_from_slice(&continuation.slots);
+        self.days = continuation.days;
+        self.tail = continuation.tail;
+    }
 }
 
 /// End-of-horizon machine state of one scenario's full job cross — the
 /// O(appended days) resume point for a day-append delta. Captured by
 /// the engine at the end of an eligible work-unit pass (full predictor
 /// × manager cross, no trace-gap fault, every solo predictor
-/// snapshot-able) and stored in the [`FleetCache`] keyed by scenario
-/// name.
+/// snapshot-able) and stored in the [`FleetCache`] keyed by the
+/// scenario's render without `days`, so a scenario resumes from it
+/// exactly when it renders the same and reaches further.
 struct UnitCheckpoint {
-    /// The scenario's full JSON form at capture time; resume requires
-    /// the appended scenario to render identically once its `days` is
-    /// rewound to [`UnitCheckpoint::days`].
-    scenario_json: String,
     /// The captured horizon in days.
     days: usize,
     /// Predictor axis labels at capture (matrix order) — the machine
@@ -494,7 +551,7 @@ struct UnitCheckpoint {
     /// horizon would be at this day boundary.
     injector: FaultInjector,
     /// Generator state for streamed units (`None` when materialized —
-    /// the trace itself extends through [`TraceTail`]).
+    /// the cached series extends from [`CachedTrace::tail`]).
     synth: Option<SynthCheckpoint>,
     /// The shared float-WCMA candidate bank, if the axis has any.
     bank: Option<solar_predict::CandidateBank>,
@@ -556,18 +613,17 @@ pub struct PruneStats {
 pub struct FleetCache {
     master_seed: u64,
     protocol: Option<EvalProtocol>,
-    /// Traces keyed by the scenario's full JSON form (not just its
-    /// name, so a mutated same-name scenario can never alias).
-    traces: HashMap<String, PowerTrace>,
-    /// Outcomes keyed by (scenario JSON, predictor label, manager
+    /// Slot series keyed by the scenario's render without `days` (not
+    /// just its name, so a mutated same-name scenario can never alias);
+    /// each serves its scenario at exactly [`CachedTrace::days`], and
+    /// day-appends extend it in O(appended days).
+    traces: HashMap<Arc<str>, CachedTrace>,
+    /// Outcomes keyed by (scenario key, predictor label, manager
     /// label); labels are injective over specs by contract.
-    outcomes: HashMap<(String, String, String), JobOutcome>,
-    /// Generator tails per scenario name: day-appends extend the
-    /// materialized trace in O(appended days).
-    trace_tails: HashMap<String, TraceTail>,
-    /// Work-unit resume state per scenario name: day-appends continue
+    outcomes: HashMap<(ScenarioKey, String, String), JobOutcome>,
+    /// Work-unit resume state keyed like `traces`: day-appends continue
     /// every machine from the stored day boundary.
-    checkpoints: HashMap<String, Arc<UnitCheckpoint>>,
+    checkpoints: HashMap<Arc<str>, Arc<UnitCheckpoint>>,
 }
 
 impl FleetCache {
@@ -587,12 +643,12 @@ impl FleetCache {
     }
 
     /// Bytes the cached traces occupy, per the same footprint
-    /// accounting the admission policy budgets with (struct, label,
-    /// and sample storage — not samples alone).
+    /// accounting the admission policy budgets with: 16 B per cached
+    /// slot, the `(start_sample, mean_power)` pair the engine reads.
     pub fn trace_bytes(&self) -> usize {
         self.traces
             .values()
-            .map(|t| trace_footprint_bytes(t.label().len(), t.samples().len()))
+            .map(|t| trace_footprint_bytes(t.slots.len()))
             .sum()
     }
 
@@ -606,13 +662,15 @@ impl FleetCache {
         pred_metrics::CostAggregate::of(self.outcomes.values().map(|o| o.cost))
     }
 
-    /// Evicts every trace, outcome, generator tail, and resume
-    /// checkpoint belonging to scenarios **not** in `matrix` (after
-    /// fleet-fault projection under the cache's bound seed, so the
-    /// keys compared are the ones runs actually store). Call this from
-    /// loops whose scenario set shrinks or rolls forward — the cache
-    /// never evicts on its own, so a tuner sweeping hundreds of
-    /// regimes would otherwise hold every retired trace to the end.
+    /// Evicts every outcome of a scenario **not** in `matrix`, and
+    /// every trace and resume checkpoint no scenario in `matrix` can
+    /// extend or resume — one whose scenario differs from all of them
+    /// in more than `days` (compared after fleet-fault projection
+    /// under the cache's bound seed, so the keys are the ones runs
+    /// actually store). Call this from loops whose scenario set
+    /// shrinks or rolls forward — the cache never evicts on its own,
+    /// so a tuner sweeping hundreds of regimes would otherwise hold
+    /// every retired trace to the end.
     ///
     /// Returns what was dropped; fold [`PruneStats::evicted_cost`]
     /// into your own aggregate if you report lifetime totals.
@@ -623,32 +681,33 @@ impl FleetCache {
     /// scenario's site config is invalid.
     pub fn prune_to(&mut self, matrix: &FleetMatrix) -> Result<PruneStats, String> {
         let effective = project_fleet_faults_seeded(matrix, self.master_seed)?;
-        let keep_jsons: HashSet<String> = effective
+        let renders: Vec<(String, usize)> = effective
             .scenarios
             .iter()
-            .map(|s| s.to_json().render())
+            .map(|s| (s.render_without_days(), s.days))
             .collect();
-        let keep_names: HashSet<&str> = effective
-            .scenarios
+        let keep_keys: HashSet<(&str, usize)> = renders
             .iter()
-            .map(|s| s.name.as_str())
+            .map(|(r, days)| (r.as_str(), *days))
             .collect();
+        let keep_renders: HashSet<&str> = renders.iter().map(|(r, _)| r.as_str()).collect();
+        let kept = |((render, days), _, _): &(ScenarioKey, String, String)| {
+            keep_keys.contains(&(&**render, *days))
+        };
         let evicted_cost = pred_metrics::CostAggregate::of(
             self.outcomes
                 .iter()
-                .filter(|((scenario_json, _, _), _)| !keep_jsons.contains(scenario_json))
+                .filter(|(key, _)| !kept(key))
                 .map(|(_, o)| o.cost),
         );
         let before_outcomes = self.outcomes.len();
         let before_traces = self.traces.len();
         let before_bytes = self.trace_bytes();
-        self.outcomes
-            .retain(|(scenario_json, _, _), _| keep_jsons.contains(scenario_json));
-        self.traces.retain(|key, _| keep_jsons.contains(key));
-        self.trace_tails
-            .retain(|name, _| keep_names.contains(name.as_str()));
+        self.outcomes.retain(|key, _| kept(key));
+        self.traces
+            .retain(|render, _| keep_renders.contains(&**render));
         self.checkpoints
-            .retain(|name, _| keep_names.contains(name.as_str()));
+            .retain(|render, _| keep_renders.contains(&**render));
         Ok(PruneStats {
             evicted_outcomes: before_outcomes - self.outcomes.len(),
             evicted_traces: before_traces - self.traces.len(),
@@ -697,9 +756,9 @@ struct WorkUnit {
     resume: Option<Arc<UnitCheckpoint>>,
     /// Generator state standing in for [`UnitCheckpoint::synth`] when
     /// the checkpointed pass was materialized (no stream of its own)
-    /// but the admission policy now streams the scenario — the stored
-    /// [`TraceTail`] is the same day boundary, so the appended slots
-    /// still have a source.
+    /// but the admission policy now streams the scenario — the cached
+    /// series' [`CachedTrace::tail`] is the same day boundary, so the
+    /// appended slots still have a source.
     resume_synth: Option<SynthCheckpoint>,
 }
 
@@ -725,6 +784,7 @@ pub struct FleetEngine {
     collector: Collector,
     quarantine: bool,
     chaos_unit_panic: Option<String>,
+    memory_probe: MemoryProbe,
 }
 
 impl FleetEngine {
@@ -743,6 +803,7 @@ impl FleetEngine {
             collector: Collector::noop(),
             quarantine: false,
             chaos_unit_panic: None,
+            memory_probe: detected_available_memory_bytes,
         }
     }
 
@@ -788,6 +849,15 @@ impl FleetEngine {
         self
     }
 
+    /// Replaces how an adaptive [`TraceCachePolicy`] without a ceiling
+    /// reads the machine's available memory (default: `/proc/meminfo`
+    /// `MemAvailable`). A detected budget shapes the admission split
+    /// but never reaches the run ledger.
+    pub fn with_memory_probe(mut self, probe: MemoryProbe) -> Self {
+        self.memory_probe = probe;
+        self
+    }
+
     /// Routes [`FleetEngine::run`]/[`FleetEngine::run_cached`] through
     /// the sharded reduction with `shards` shards merged back into the
     /// returned scorecard — byte-identical to the monolithic reduction,
@@ -828,7 +898,6 @@ impl FleetEngine {
             protocol: Some(self.protocol),
             traces: HashMap::new(),
             outcomes: HashMap::new(),
-            trace_tails: HashMap::new(),
             checkpoints: HashMap::new(),
         }
     }
@@ -1043,7 +1112,6 @@ impl FleetEngine {
         let unbound = cache.protocol.is_none()
             && cache.outcomes.is_empty()
             && cache.traces.is_empty()
-            && cache.trace_tails.is_empty()
             && cache.checkpoints.is_empty();
         if !unbound
             && (cache.master_seed != self.master_seed || cache.protocol != Some(self.protocol))
@@ -1099,38 +1167,35 @@ impl FleetEngine {
             matrix.scenarios.iter().map(|s| s.faults.len() as u64).sum(),
         );
 
-        // Stable per-scenario cache keys: the full JSON form.
-        let scenario_keys: Vec<String> = matrix
+        // Stable per-scenario cache keys, rendered once per run: the
+        // JSON form without `days`, plus `days`.
+        let scenario_keys: Vec<ScenarioKey> = matrix
             .scenarios
             .iter()
-            .map(|s| s.to_json().render())
+            .map(|s| (Arc::from(s.render_without_days()), s.days))
             .collect();
         let predictor_labels: Vec<String> = matrix.predictors.iter().map(|p| p.label()).collect();
         let manager_labels: Vec<String> = matrix.managers.iter().map(|m| m.label()).collect();
 
         // Day-append resume candidates: a scenario may continue from
-        // its stored checkpoint iff it is byte-identical to the
-        // checkpointed scenario except for a strictly larger `days`,
-        // the predictor/manager axes match, and no trace-gap fault
-        // would re-realize its placement under the longer horizon.
+        // the checkpoint stored under its render iff it reaches a
+        // strictly larger `days`, the predictor/manager axes match, and
+        // no trace-gap fault would re-realize its placement under the
+        // longer horizon.
         let resume_candidates: Vec<Option<Arc<UnitCheckpoint>>> = matrix
             .scenarios
             .iter()
-            .map(|scenario| {
-                let ck = cache.checkpoints.get(&scenario.name)?;
-                if scenario.days <= ck.days
-                    || scenario
+            .zip(&scenario_keys)
+            .map(|(scenario, (render, days))| {
+                let ck = cache.checkpoints.get(render)?;
+                (*days > ck.days
+                    && !scenario
                         .faults
                         .iter()
                         .any(|f| matches!(f, FaultSpec::TraceGap { .. }))
-                    || ck.predictor_labels != predictor_labels
-                    || ck.manager_labels != manager_labels
-                {
-                    return None;
-                }
-                let mut at_checkpoint = scenario.clone();
-                at_checkpoint.days = ck.days;
-                (at_checkpoint.to_json().render() == ck.scenario_json).then(|| Arc::clone(ck))
+                    && ck.predictor_labels == predictor_labels
+                    && ck.manager_labels == manager_labels)
+                    .then(|| Arc::clone(ck))
             })
             .collect();
 
@@ -1139,18 +1204,23 @@ impl FleetEngine {
         // the materialize/stream split never depends on thread timing
         // (an adaptive policy consults memory exactly once per run).
         // Warm traces stay admitted (they are already paid for) and
-        // count toward the budget.
+        // count toward the budget. A render seen earlier in the matrix
+        // streams: one cached series serves one horizon.
         let admission_span = self.collector.span("fleet/admission");
-        let resolved = self.cache_policy.resolve();
+        let resolved = self.cache_policy.resolve_with(self.memory_probe);
         let resolved_budget = resolved.bytes;
         let mut admitted = vec![false; matrix.scenarios.len()];
-        let mut warm_traces = 0u64;
+        let mut warm = vec![false; matrix.scenarios.len()];
         let mut running_total = 0u64;
+        let mut seen: HashSet<&str> = HashSet::with_capacity(matrix.scenarios.len());
         for (idx, scenario) in matrix.scenarios.iter().enumerate() {
-            let bytes = Self::trace_bytes(scenario)?;
-            let warm = cache.traces.contains_key(&scenario_keys[idx]);
-            warm_traces += warm as u64;
-            if warm || TraceCachePolicy::admits(resolved_budget, running_total, bytes) {
+            let (render, days) = &scenario_keys[idx];
+            if !seen.insert(render) {
+                continue;
+            }
+            let bytes = Self::trace_bytes(scenario);
+            warm[idx] = cache.traces.get(render).is_some_and(|t| t.days == *days);
+            if warm[idx] || TraceCachePolicy::admits(resolved_budget, running_total, bytes) {
                 admitted[idx] = true;
                 running_total = running_total.saturating_add(bytes);
             }
@@ -1160,8 +1230,12 @@ impl FleetEngine {
                 "admission/trace_budget_source",
                 &resolved.source.to_string(),
             );
+            // A detected budget describes the host, not the run: it
+            // stays in the scorecard's text output, off the ledger.
             if let Some(bytes) = resolved.bytes {
-                self.collector.gauge("admission/trace_budget_bytes", bytes);
+                if resolved.source != TraceBudgetSource::AdaptiveDetectedMemory {
+                    self.collector.gauge("admission/trace_budget_bytes", bytes);
+                }
             }
             let materialized = admitted.iter().filter(|&&a| a).count() as u64;
             self.collector
@@ -1172,109 +1246,69 @@ impl FleetEngine {
             );
             self.collector
                 .count("admission/admitted_trace_bytes", running_total);
-            self.collector.count("cache/trace_hits", warm_traces);
+            self.collector.count(
+                "cache/trace_hits",
+                warm.iter().filter(|&&w| w).count() as u64,
+            );
         }
         drop(admission_span);
 
-        // Phase 1: traces for admitted scenarios the cache has not
-        // seen. A missing trace whose scenario only grew in days is
-        // *extended* from its stored generator tail — O(appended
-        // days), bit-identical to a cold generation by the synth
-        // crate's resume contract — and re-keyed under the grown
-        // scenario's JSON; everything else generates cold from day
-        // zero, in parallel, shared read-only by every job of that
-        // scenario.
+        // Phase 1: slot series for admitted scenarios the cache cannot
+        // serve. A cached series whose scenario only grew in days is
+        // *extended*: the appended days are synthesized from its stored
+        // generator tail — O(appended days), bit-identical to a cold
+        // generation by the synth crate's resume contract — and pushed
+        // onto the series in place. Everything else synthesizes from
+        // day zero. Synthesis runs in parallel; only the cache updates
+        // stay sequential. Every job of a scenario then shares its
+        // series read-only.
         let synthesis_span = self.collector.span("fleet/synthesis");
-        let missing: Vec<usize> = (0..matrix.scenarios.len())
-            .filter(|&idx| admitted[idx] && !cache.traces.contains_key(&scenario_keys[idx]))
+        let missing: Vec<(usize, Option<SynthCheckpoint>)> = (0..matrix.scenarios.len())
+            .filter(|&idx| admitted[idx] && !warm[idx])
+            .map(|idx| {
+                let (render, days) = &scenario_keys[idx];
+                let tail = cache
+                    .traces
+                    .get(render)
+                    .filter(|t| t.days < *days)
+                    .map(|t| t.tail.clone());
+                (idx, tail)
+            })
             .collect();
-        let mut cold: Vec<usize> = Vec::new();
-        let mut extensions: Vec<(usize, TraceTail)> = Vec::new();
-        let mut synthesis_cost = SynthCounters::default();
-        for &idx in &missing {
-            let scenario = &matrix.scenarios[idx];
-            let extendable = cache.trace_tails.get(&scenario.name).and_then(|tail| {
-                if scenario.days <= tail.days || !cache.traces.contains_key(&tail.scenario_json) {
-                    return None;
-                }
-                let mut at_tail = scenario.clone();
-                at_tail.days = tail.days;
-                (at_tail.to_json().render() == tail.scenario_json).then(|| tail.clone())
-            });
-            match extendable {
-                Some(old) => extensions.push((idx, old)),
-                None => cold.push(idx),
-            }
-        }
-        // Tail synthesis is independent per scenario — run it with the
-        // same parallelism as cold generation; only the cache updates
-        // stay sequential.
-        type AppendedTail = (Vec<f64>, SynthCounters, SynthCheckpoint);
-        let appended_tails: Vec<Result<AppendedTail, String>> = extensions
+        let synthesized: Vec<Result<(CachedTrace, SynthCounters), String>> = missing
             .par_iter()
-            .map(|(idx, old)| {
+            .map(|(idx, tail)| {
                 let scenario = &matrix.scenarios[*idx];
-                TraceGenerator::new(scenario.site_config()?, self.scenario_seed(scenario))
-                    .resume_days_counted(old.tail.clone(), scenario.days)
-                    .map_err(|e| e.to_string())
+                let generator =
+                    TraceGenerator::new(scenario.site_config()?, self.scenario_seed(scenario));
+                let n = SlotsPerDay::new(scenario.slots_per_day).map_err(|e| e.to_string())?;
+                CachedTrace::synthesize(&generator, tail.clone(), scenario.days, n)
             })
             .collect();
-        let extended = extensions.len();
-        for ((idx, old), appended) in extensions.into_iter().zip(appended_tails) {
-            let (appended, counters, new_tail) = appended?;
+        let mut synthesis_cost = SynthCounters::default();
+        let mut passes = PassBreakdown::default();
+        for ((idx, tail), synthesized) in missing.iter().zip(synthesized) {
+            let (trace, counters) = synthesized?;
             synthesis_cost.add(counters);
-            let scenario = &matrix.scenarios[idx];
-            // The prefix trace is being re-keyed under the grown
-            // scenario anyway — take it out of the map and extend its
-            // sample storage in place rather than copying O(horizon)
-            // samples per appended day.
-            let prefix = cache
-                .traces
-                .remove(&old.scenario_json)
-                .expect("extendability checked the prefix is cached");
-            let label = prefix.label().to_string();
-            let resolution = prefix.resolution();
-            let mut samples = prefix.into_samples();
-            samples.extend_from_slice(&appended);
-            let trace = PowerTrace::new(label, resolution, samples).map_err(|e| e.to_string())?;
-            cache.traces.insert(scenario_keys[idx].clone(), trace);
-            cache.trace_tails.insert(
-                scenario.name.clone(),
-                TraceTail {
-                    scenario_json: scenario_keys[idx].clone(),
-                    days: scenario.days,
-                    tail: new_tail,
-                },
-            );
-        }
-        let generated: Vec<Result<(PowerTrace, SynthCounters, SynthCheckpoint), String>> = cold
-            .par_iter()
-            .map(|&idx| {
-                let scenario = &matrix.scenarios[idx];
-                TraceGenerator::new(scenario.site_config()?, self.scenario_seed(scenario))
-                    .generate_days_checkpointed(scenario.days)
-                    .map_err(|e| e.to_string())
-            })
-            .collect();
-        for (&idx, generated) in cold.iter().zip(generated) {
-            let (trace, counters, tail) = generated?;
-            synthesis_cost.add(counters);
-            cache.traces.insert(scenario_keys[idx].clone(), trace);
-            cache.trace_tails.insert(
-                matrix.scenarios[idx].name.clone(),
-                TraceTail {
-                    scenario_json: scenario_keys[idx].clone(),
-                    days: matrix.scenarios[idx].days,
-                    tail,
-                },
-            );
+            let render = &scenario_keys[*idx].0;
+            if tail.is_some() {
+                passes.trace_extensions += 1;
+                cache
+                    .traces
+                    .get_mut(render)
+                    .expect("an extended series is cached")
+                    .append(trace);
+            } else {
+                passes.trace_generations += 1;
+                cache.traces.insert(Arc::clone(render), trace);
+            }
         }
         if self.collector.is_enabled() {
             self.collector
-                .count("synth/trace_generations", cold.len() as u64);
-            if extended > 0 {
+                .count("synth/trace_generations", passes.trace_generations as u64);
+            if passes.trace_extensions > 0 {
                 self.collector
-                    .count("delta/trace_extensions", extended as u64);
+                    .count("delta/trace_extensions", passes.trace_extensions as u64);
             }
             // Keystream/draw totals for the whole materialization
             // phase: one ledger update, never per slot or per trace.
@@ -1287,11 +1321,11 @@ impl FleetEngine {
 
         // Phase 2: only the jobs the cache cannot answer, grouped into
         // **one work unit per scenario** — the unit's single slot pass
-        // (over the cached trace or a generator stream) feeds every
+        // (over the cached series or a generator stream) feeds every
         // fresh job's machines, so adding candidates to the matrix adds
         // per-slot arithmetic, never whole passes.
         let jobs = matrix.jobs();
-        let job_keys: Vec<(String, String, String)> = jobs
+        let job_keys: Vec<(ScenarioKey, String, String)> = jobs
             .iter()
             .map(|job| {
                 (
@@ -1328,9 +1362,9 @@ impl FleetEngine {
                 // Attach the resume point only when the unit can
                 // actually honour it: the checkpointed machines cover
                 // the full job cross and the appended slots have a
-                // source — the extended trace when materialized, a
+                // source — the extended series when materialized, a
                 // generator state when streamed (the checkpoint's own,
-                // or the stored trace tail when the admission policy
+                // or the cached series' tail when the admission policy
                 // flipped the scenario from materialized to streamed
                 // between runs). The resumed pass keeps the
                 // checkpoint's record sink regardless of what a cold
@@ -1342,16 +1376,12 @@ impl FleetEngine {
                 let resume = resume_candidates[scenario_idx].as_ref().and_then(|ck| {
                     let full_cross =
                         job_indices.len() == matrix.predictors.len() * matrix.managers.len();
+                    let cached = cache.traces.get(&scenario_keys[scenario_idx].0);
                     let synth_override = (!scenario_admitted && ck.synth.is_none())
-                        .then(|| {
-                            cache.trace_tails.get(&scenario.name).and_then(|tail| {
-                                (tail.days == ck.days && tail.scenario_json == ck.scenario_json)
-                                    .then(|| tail.tail.clone())
-                            })
-                        })
+                        .then(|| cached.filter(|t| t.days == ck.days).map(|t| t.tail.clone()))
                         .flatten();
                     let source_ok = if scenario_admitted {
-                        cache.traces.contains_key(&scenario_keys[scenario_idx])
+                        cached.is_some()
                     } else {
                         ck.synth.is_some() || synth_override.is_some()
                     };
@@ -1387,14 +1417,14 @@ impl FleetEngine {
                     if self.chaos_unit_panic.as_deref() == Some(scenario_name.as_str()) {
                         panic!("chaos: injected work-unit panic");
                     }
-                    let trace = admitted[unit.scenario_idx]
-                        .then(|| &cache.traces[&scenario_keys[unit.scenario_idx]]);
+                    let series = admitted[unit.scenario_idx]
+                        .then(|| &cache.traces[&scenario_keys[unit.scenario_idx].0].slots[..]);
                     self.evaluate_scenario_unit(
                         matrix,
                         unit.scenario_idx,
                         &unit.job_indices,
                         &jobs,
-                        trace,
+                        series,
                         unit.resume.as_deref(),
                         unit.resume_synth.as_ref(),
                         None,
@@ -1408,11 +1438,6 @@ impl FleetEngine {
                 })
             })
             .collect();
-        let mut passes = PassBreakdown {
-            trace_generations: cold.len(),
-            trace_extensions: extended,
-            ..PassBreakdown::default()
-        };
         let mut quarantined: Vec<QuarantinedScenario> = Vec::new();
         for (unit, unit_outcomes) in units.iter().zip(evaluated) {
             let (unit_outcomes, unit_passes, checkpoint) = match unit_outcomes {
@@ -1434,7 +1459,7 @@ impl FleetEngine {
             passes.add(unit_passes);
             if let Some(checkpoint) = checkpoint {
                 cache.checkpoints.insert(
-                    matrix.scenarios[unit.scenario_idx].name.clone(),
+                    Arc::clone(&scenario_keys[unit.scenario_idx].0),
                     Arc::new(checkpoint),
                 );
             }
@@ -1535,22 +1560,15 @@ impl FleetEngine {
         solar_trace::hash::fnv1a(&salted) ^ self.master_seed.rotate_left(17)
     }
 
-    /// Bytes a scenario's materialized trace would occupy — the same
-    /// footprint [`FleetCache::trace_bytes`] reports once the trace
-    /// exists (the generated trace is labelled with the site config's
-    /// name, known before generation).
-    fn trace_bytes(scenario: &Scenario) -> Result<u64, String> {
-        let config = scenario.site_config()?;
-        Ok(trace_footprint_bytes(
-            config.name.len(),
-            scenario.days * config.resolution.samples_per_day(),
-        ) as u64)
+    /// Bytes a scenario's cached slot series would occupy — the same
+    /// footprint [`FleetCache::trace_bytes`] reports once it exists.
+    fn trace_bytes(scenario: &Scenario) -> u64 {
+        trace_footprint_bytes(scenario.days * scenario.slots_per_day as usize) as u64
     }
 
-    /// Generates a scenario's trace along with its synthesis-cost
-    /// counters (keystream blocks, normal draws). The engine proper now
-    /// synthesizes through the checkpointing path in `evaluate_matrix`;
-    /// this one-shot variant remains as the test oracle for it.
+    /// Generates a scenario's full-resolution trace along with its
+    /// synthesis-cost counters (keystream blocks, normal draws) — the
+    /// test oracle for the slot series the engine caches.
     #[cfg(test)]
     fn generate_trace(&self, scenario: &Scenario) -> Result<(PowerTrace, SynthCounters), String> {
         let config = scenario.site_config()?;
@@ -1561,7 +1579,7 @@ impl FleetEngine {
 
     /// The universal fast path: **one slot pass per scenario** drives
     /// every fresh job's state machines simultaneously. The slots come
-    /// from the cached trace when the scenario is admitted
+    /// from the cached slot series when the scenario is admitted
     /// (materialized), else from a [`solar_synth::SlotStream`] holding
     /// one day of samples; both sources produce the identical slot
     /// values, so the choice never shows in the output.
@@ -1580,7 +1598,7 @@ impl FleetEngine {
     /// [`STREAMED_LOG_CAP_BYTES`] per job the records fold into O(1)
     /// protocol accumulators ([`pred_metrics::StreamingEval`]) instead,
     /// with an ROI pre-pass supplying the peak the paper's filter needs
-    /// up front — a view walk when materialized, one extra generator
+    /// up front — a series walk when materialized, one extra generator
     /// pass when streamed. The two sinks are bit-identical, so the
     /// choice is invisible in the output.
     ///
@@ -1609,7 +1627,7 @@ impl FleetEngine {
         scenario_idx: usize,
         job_indices: &[usize],
         jobs: &[JobSpec],
-        trace: Option<&PowerTrace>,
+        series: Option<&[(f64, f64)]>,
         resume: Option<&UnitCheckpoint>,
         resume_synth: Option<&SynthCheckpoint>,
         known_roi: Option<(f64, Option<f64>)>,
@@ -1635,11 +1653,7 @@ impl FleetEngine {
         // horizon when resuming.
         let start_day = resume.map_or(0, |r| r.days);
 
-        let view = match trace {
-            Some(trace) => Some(SlotView::new(trace, slots).map_err(|e| e.to_string())?),
-            None => None,
-        };
-        let generator = match view {
+        let generator = match series {
             Some(_) => None,
             None => Some(TraceGenerator::new(
                 scenario.site_config()?,
@@ -1649,7 +1663,7 @@ impl FleetEngine {
 
         // Sink selection (see the method docs): materialized units
         // always fold records straight into O(1) streaming accumulators
-        // (their ROI pre-pass is a cheap view walk, and skipping the
+        // (their ROI pre-pass is a cheap series walk, and skipping the
         // log halves record handling); streamed units only pay the
         // extra generator pre-pass once the log would exceed the cap.
         // A resumed pass always feeds streaming accumulators: a
@@ -1658,7 +1672,7 @@ impl FleetEngine {
         // choice a cold pass at the new horizon would make is moot.
         let log_bytes = scenario.days * n * std::mem::size_of::<pred_metrics::PredictionRecord>();
         let streaming_eval =
-            resume.is_some() || view.is_some() || log_bytes > STREAMED_LOG_CAP_BYTES;
+            resume.is_some() || series.is_some() || log_bytes > STREAMED_LOG_CAP_BYTES;
 
         // ROI pre-pass (streaming sinks only): the peak of the (dimmed)
         // reference means over every slot that becomes a record — all
@@ -1690,11 +1704,11 @@ impl FleetEngine {
                 }
                 roi_pending_mean = Some(mean_power * sky_probe.sky_factor(day));
             };
-            match (&view, &generator) {
-                (Some(view), _) => {
-                    for day in start_day..view.days() {
-                        for slot in 0..n {
-                            absorb(day, view.mean_power(day, slot));
+            match (series, &generator) {
+                (Some(series), _) => {
+                    for (day, day_slots) in series.chunks_exact(n).enumerate().skip(start_day) {
+                        for &(_, mean_power) in day_slots {
+                            absorb(day, mean_power);
                         }
                     }
                 }
@@ -1720,7 +1734,7 @@ impl FleetEngine {
                     }
                     synth_cost.add(stream.counters());
                 }
-                (None, None) => unreachable!("unit has a view or a generator"),
+                (None, None) => unreachable!("unit has a series or a generator"),
             }
         }
 
@@ -1743,7 +1757,7 @@ impl FleetEngine {
                     scenario_idx,
                     job_indices,
                     jobs,
-                    trace,
+                    series,
                     None,
                     None,
                     Some((roi_peak, roi_pending_mean)),
@@ -1983,16 +1997,11 @@ impl FleetEngine {
                     sim.plan_with(predictions[kernel_slot]);
                 }
             };
-            match (&view, &generator) {
-                (Some(view), _) => {
-                    for day in start_day..view.days() {
-                        for slot in 0..n {
-                            feed_slot(
-                                day,
-                                slot,
-                                view.start_sample(day, slot),
-                                view.mean_power(day, slot),
-                            );
+            match (series, &generator) {
+                (Some(series), _) => {
+                    for (day, day_slots) in series.chunks_exact(n).enumerate().skip(start_day) {
+                        for (slot, &(start_sample, mean_power)) in day_slots.iter().enumerate() {
+                            feed_slot(day, slot, start_sample, mean_power);
                         }
                     }
                 }
@@ -2019,15 +2028,15 @@ impl FleetEngine {
                     synth_cost.add(stream.counters());
                     eval_synth = stream.checkpoint();
                 }
-                (None, None) => unreachable!("unit has a view or a generator"),
+                (None, None) => unreachable!("unit has a series or a generator"),
             }
         }
 
-        // Peak trace bytes per job: the shared materialized trace, or
+        // Peak trace bytes per job: the shared cached series, or
         // the one-day stream buffer plus the metrics log when the
         // horizon fit under the cap.
-        let peak_trace_bytes = match trace {
-            Some(trace) => std::mem::size_of_val(trace.samples()),
+        let peak_trace_bytes = match series {
+            Some(series) => std::mem::size_of_val(series),
             None => {
                 let buffer_bytes = scenario.site_config()?.resolution.samples_per_day()
                     * std::mem::size_of::<f64>();
@@ -2051,7 +2060,7 @@ impl FleetEngine {
             .faults
             .iter()
             .any(|f| matches!(f, FaultSpec::TraceGap { .. }));
-        let eligible = full_cross && !has_gap_fault && (view.is_some() || eval_synth.is_some());
+        let eligible = full_cross && !has_gap_fault && (series.is_some() || eval_synth.is_some());
         let solo_snapshots: Option<Vec<_>> = if eligible {
             solo.iter().map(|p| p.snapshot()).collect()
         } else {
@@ -2118,7 +2127,6 @@ impl FleetEngine {
         };
 
         let checkpoint = solo_snapshots.map(|solo_snapshots| UnitCheckpoint {
-            scenario_json: scenario.to_json().render(),
             days: scenario.days,
             predictor_labels: matrix.predictors.iter().map(|p| p.label()).collect(),
             manager_labels: matrix.managers.iter().map(|m| m.label()).collect(),
@@ -2302,13 +2310,16 @@ impl FleetDelta {
                     .to_string(),
             );
         }
-        let render = |s: &crate::Scenario| s.to_json().render();
-        let scenarios_equal = before.scenarios.len() == after.scenarios.len()
-            && before
-                .scenarios
+        // One render per scenario: equal (render, days) pairs are equal
+        // scenarios, and an equal render reaching more days is an append.
+        let keys = |m: &FleetMatrix| -> Vec<(String, usize)> {
+            m.scenarios
                 .iter()
-                .zip(&after.scenarios)
-                .all(|(b, a)| render(b) == render(a));
+                .map(|s| (s.render_without_days(), s.days))
+                .collect()
+        };
+        let (before_keys, after_keys) = (keys(before), keys(after));
+        let scenarios_equal = before_keys == after_keys;
         if before_predictors != after_predictors {
             let retired: Vec<String> = before_predictors
                 .iter()
@@ -2352,19 +2363,14 @@ impl FleetDelta {
         }
         let mut appends = Vec::new();
         let mut edits = Vec::new();
-        for (b, a) in before.scenarios.iter().zip(&after.scenarios) {
-            if render(b) == render(a) {
+        for ((b, a), scenario) in before_keys.iter().zip(&after_keys).zip(&after.scenarios) {
+            if b == a {
                 continue;
             }
-            let pure_append = b.name == a.name && a.days > b.days && {
-                let mut at_before_days = a.clone();
-                at_before_days.days = b.days;
-                render(&at_before_days) == render(b)
-            };
-            if pure_append {
-                appends.push(a.name.clone());
+            if b.0 == a.0 && a.1 > b.1 {
+                appends.push(scenario.name.clone());
             } else {
-                edits.push(a.name.clone());
+                edits.push(scenario.name.clone());
             }
         }
         match (appends.is_empty(), edits.is_empty()) {
@@ -2429,6 +2435,21 @@ mod tests {
     use crate::fleet_faults::FleetFault;
     use crate::matrix::{ManagerSpec, PredictorSpec};
 
+    /// Asserts a cached slot series is bit-equal to the `SlotView` of
+    /// the full-resolution trace.
+    fn assert_series_matches(slots: &[(f64, f64)], trace: &PowerTrace, slots_per_day: u32) {
+        let view =
+            solar_trace::SlotView::new(trace, SlotsPerDay::new(slots_per_day).unwrap()).unwrap();
+        assert_eq!(slots.len(), view.total_slots());
+        for ((start, mean), (view_start, view_mean)) in slots
+            .iter()
+            .zip(view.start_series().iter().zip(view.mean_series()))
+        {
+            assert_eq!(start.to_bits(), view_start.to_bits());
+            assert_eq!(mean.to_bits(), view_mean.to_bits());
+        }
+    }
+
     fn small_matrix() -> FleetMatrix {
         let scenarios = vec![
             Catalog::builtin().get("desert-clear-sky").unwrap().clone(),
@@ -2461,7 +2482,7 @@ mod tests {
         assert_eq!(result.outcomes.len(), 2 * 2 * 2);
         assert_eq!(result.cached_jobs, 0);
         // The default adaptive budget (≥ the 4 MiB fallback) comfortably
-        // admits this matrix's ~0.9 MiB of traces.
+        // admits this matrix's 60 KiB of slot series.
         assert_eq!(result.streamed_jobs, 0, "small fleets must not stream");
         for outcome in &result.outcomes {
             assert!(outcome.summary.count > 0, "{}", outcome.scenario);
@@ -2540,21 +2561,29 @@ mod tests {
             materialized.scorecard.to_json_string(),
             "streamed and materialized paths must agree byte-for-byte"
         );
+        // Materialized jobs hold their cached series (16 B per slot);
+        // streamed ones a day of raw samples plus the metrics log these
+        // short horizons keep.
+        let log_bytes = 40 * 48 * std::mem::size_of::<pred_metrics::PredictionRecord>();
         for (a, b) in streamed.outcomes.iter().zip(&materialized.outcomes) {
             assert_eq!(a.summary, b.summary);
             assert_eq!(a.report, b.report);
-            assert!(
-                a.cost.peak_trace_bytes < b.cost.peak_trace_bytes,
-                "streamed jobs must hold less trace memory"
-            );
+            assert_eq!(b.cost.peak_trace_bytes, 40 * 48 * 16);
+            let samples_per_day = if a.scenario == "desert-clear-sky" {
+                1440
+            } else {
+                288
+            };
+            assert_eq!(a.cost.peak_trace_bytes, samples_per_day * 8 + log_bytes);
         }
     }
 
     #[test]
     fn bounded_budget_splits_materialize_and_stream_deterministically() {
         let matrix = small_matrix();
-        // Admit exactly the first scenario (40 days × 1440 samples × 8).
-        let first_bytes = 40 * 1440 * 8;
+        // Admit exactly the first scenario (40 days × 48 slots × 16 B;
+        // the second costs the same and does not fit).
+        let first_bytes = 40 * 48 * 16;
         let engine =
             FleetEngine::new(5).with_trace_cache(TraceCachePolicy::bounded(first_bytes as u64));
         let mut cache = engine.new_cache();
@@ -2945,12 +2974,14 @@ mod tests {
             incremental.scorecard.to_json_string(),
             cold.scorecard.to_json_string()
         );
-        // The extended cached trace is bitwise the cold-generated one.
+        // The extended cached series is bitwise the slot view of the
+        // cold-generated trace.
         let engine = FleetEngine::new(41);
         for scenario in &grown.scenarios {
             let (cold_trace, _) = engine.generate_trace(scenario).unwrap();
-            let cached = &cache.traces[&scenario.to_json().render()];
-            assert_eq!(cached.samples(), cold_trace.samples());
+            let cached = &cache.traces[scenario.render_without_days().as_str()];
+            assert_eq!(cached.days, scenario.days);
+            assert_series_matches(&cached.slots, &cold_trace, scenario.slots_per_day);
         }
     }
 
@@ -3039,6 +3070,202 @@ mod tests {
         assert_eq!(
             incremental.scorecard.to_json_string(),
             cold.scorecard.to_json_string()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The cached slot series — synthesized from day zero, then
+        /// extended in place k times — is bit-equal to the `SlotView`
+        /// of a cold full-resolution trace at the final horizon.
+        #[test]
+        fn cached_series_matches_the_slot_view_after_chained_extensions(
+            site_idx in 0usize..solar_synth::Site::ALL.len(),
+            seed in 0u64..u64::MAX,
+            days in 1usize..6,
+            n_idx in 0usize..3,
+            extensions in proptest::collection::vec(1usize..4, 0..4),
+        ) {
+            let generator = TraceGenerator::new(solar_synth::Site::ALL[site_idx].config(), seed);
+            let slots_per_day = [24u32, 48, 96][n_idx];
+            let n = SlotsPerDay::new(slots_per_day).unwrap();
+            let (mut cached, _) = CachedTrace::synthesize(&generator, None, days, n).unwrap();
+            for extra in extensions {
+                let (continuation, _) = CachedTrace::synthesize(
+                    &generator,
+                    Some(cached.tail.clone()),
+                    cached.days + extra,
+                    n,
+                )
+                .unwrap();
+                cached.append(continuation);
+            }
+            let cold = generator.generate_days(cached.days).unwrap();
+            assert_series_matches(&cached.slots, &cold, slots_per_day);
+        }
+    }
+
+    #[test]
+    fn trace_gap_and_peak_raising_regimes_append_from_cached_slots() {
+        // Neither regime resumes a checkpoint on a day-append: trace
+        // gaps re-place over the longer horizon, and the dimmed prefix
+        // has its ROI peak raised by the full-strength appended days.
+        // Materialized, both re-simulate cold from the extended series —
+        // no stream, no prepass, no regeneration — and every day's
+        // scorecard is byte-identical to a cold run.
+        let catalog = Catalog::builtin();
+        let gappy = catalog.get("gappy-telemetry-desert").unwrap().clone();
+        assert!(gappy
+            .faults
+            .iter()
+            .any(|f| matches!(f, FaultSpec::TraceGap { .. })));
+        let mut dimmed = catalog.get("desert-clear-sky").unwrap().clone();
+        dimmed.faults.push(FaultSpec::ClimateDimming {
+            start_day: 0,
+            duration_days: dimmed.days,
+            factor: 0.5,
+        });
+        let base = FleetMatrix::new(
+            small_matrix().predictors,
+            small_matrix().managers,
+            vec![gappy, dimmed],
+        )
+        .unwrap();
+        let policy = TraceCachePolicy::bounded(1 << 20);
+        let engine = FleetEngine::new(71).with_trace_cache(policy);
+        let mut cache = engine.new_cache();
+        engine.run_cached(&base, &mut cache).unwrap();
+
+        let mut previous = base;
+        let mut peak_fallbacks = 0;
+        for _ in 0..3 {
+            let mut grown = previous.clone();
+            for scenario in &mut grown.scenarios {
+                scenario.days += 1;
+            }
+            let delta = FleetDelta::classify(&previous, &grown).unwrap();
+            let collector = Collector::recording();
+            let incremental = engine
+                .clone()
+                .with_collector(collector.clone())
+                .run_delta(&grown, &mut cache, &delta)
+                .unwrap();
+            let cold = FleetEngine::new(71)
+                .with_trace_cache(policy)
+                .run(&grown)
+                .unwrap();
+            assert_eq!(
+                incremental.scorecard.to_json_string(),
+                cold.scorecard.to_json_string()
+            );
+            let ledger = collector.ledger();
+            assert_eq!(ledger.counter("synth/streamed_passes"), 0);
+            assert_eq!(ledger.counter("synth/roi_prepasses"), 0);
+            assert_eq!(ledger.counter("synth/trace_generations"), 0);
+            assert_eq!(ledger.counter("delta/trace_extensions"), 2);
+            // The gap regime never resumes; the dimmed one resumes or
+            // falls back.
+            peak_fallbacks += ledger.counter("delta/peak_fallbacks");
+            assert_eq!(
+                ledger.counter("delta/resumed_units") + ledger.counter("delta/peak_fallbacks"),
+                1
+            );
+            previous = grown;
+        }
+        assert!(peak_fallbacks >= 1, "the dimmed regime must fall back");
+    }
+
+    #[test]
+    fn cache_trace_bytes_equal_the_admission_estimate() {
+        let matrix = small_matrix();
+        let engine = FleetEngine::new(61);
+        let mut cache = engine.new_cache();
+        let mut expected = 0;
+        for days in [0, 2] {
+            let mut grown = matrix.clone();
+            for scenario in &mut grown.scenarios {
+                scenario.days += days;
+            }
+            let collector = Collector::recording();
+            engine
+                .clone()
+                .with_collector(collector.clone())
+                .run_cached(&grown, &mut cache)
+                .unwrap();
+            // Cold, then extended in place: either way the cache holds
+            // exactly what admission budgeted for this run.
+            expected = grown
+                .scenarios
+                .iter()
+                .map(|s| s.days * s.slots_per_day as usize * 16)
+                .sum::<usize>();
+            assert_eq!(
+                collector.ledger().counter("admission/admitted_trace_bytes"),
+                expected as u64
+            );
+            assert_eq!(cache.trace_bytes(), expected);
+        }
+        assert_eq!(cache.trace_count(), matrix.scenarios.len());
+        assert_eq!(expected, 2 * 42 * 48 * 16);
+    }
+
+    #[test]
+    fn a_render_repeated_at_another_horizon_streams() {
+        // One cached series serves one horizon: the repeat must not
+        // read the first entry's slots.
+        let scenario = Catalog::builtin().get("desert-clear-sky").unwrap().clone();
+        let mut longer = scenario.clone();
+        longer.days += 2;
+        let mut matrix = small_matrix();
+        matrix.scenarios = vec![scenario, longer];
+        let engine = FleetEngine::new(73);
+        let mut cache = engine.new_cache();
+        let result = engine.run_cached(&matrix, &mut cache).unwrap();
+        assert_eq!(cache.trace_count(), 1);
+        assert_eq!(result.streamed_jobs, matrix.job_count() / 2);
+        let streamed = FleetEngine::new(73)
+            .with_trace_cache(TraceCachePolicy::streaming_only())
+            .run(&matrix)
+            .unwrap();
+        assert_eq!(
+            result.scorecard.to_json_string(),
+            streamed.scorecard.to_json_string()
+        );
+    }
+
+    #[test]
+    fn detected_memory_never_reaches_the_ledger() {
+        let run = |engine: FleetEngine| {
+            let collector = Collector::recording();
+            let result = engine
+                .with_collector(collector.clone())
+                .run(&small_matrix())
+                .unwrap();
+            (collector.ledger(), result.scorecard)
+        };
+        let (small, small_card) = run(FleetEngine::new(67).with_memory_probe(|| Some(8 << 30)));
+        let (large, large_card) = run(FleetEngine::new(67).with_memory_probe(|| Some(64 << 30)));
+        assert_eq!(small.to_json_string(), large.to_json_string());
+        assert_eq!(small.gauge_value("admission/trace_budget_bytes"), None);
+        assert_eq!(
+            small.label_value("admission/trace_budget_source"),
+            Some("adaptive-detected-memory")
+        );
+        // The detected budget stays in the text output.
+        assert!(small_card.render_text().contains("1073741824 bytes"));
+        assert!(large_card.render_text().contains("8589934592 bytes"));
+        // Budgets the configuration fixes still land on the ledger.
+        let (fallback, _) = run(FleetEngine::new(67).with_memory_probe(|| None));
+        assert_eq!(
+            fallback.gauge_value("admission/trace_budget_bytes"),
+            Some(ADAPTIVE_FALLBACK_BUDGET_BYTES)
+        );
+        let (bounded, _) =
+            run(FleetEngine::new(67).with_trace_cache(TraceCachePolicy::bounded(1 << 20)));
+        assert_eq!(
+            bounded.gauge_value("admission/trace_budget_bytes"),
+            Some(1 << 20)
         );
     }
 

@@ -111,85 +111,6 @@ impl TraceGenerator {
             .map(|(trace, _, counters)| (trace, counters))
     }
 
-    /// Like [`TraceGenerator::generate_days_counted`], but also
-    /// returns a [`SynthCheckpoint`] at the generated horizon —
-    /// [`TraceGenerator::resume_days_counted`] or
-    /// [`TraceGenerator::slot_stream_from`] continue the identical
-    /// keystream from there without replaying the generated days.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError`] if `days` is zero.
-    pub fn generate_days_checkpointed(
-        &self,
-        days: usize,
-    ) -> Result<(PowerTrace, SynthCounters, SynthCheckpoint), TraceError> {
-        let res = self.config.resolution;
-        let spd = res.samples_per_day();
-        let mut state = self.day_state();
-        let mut samples = Vec::with_capacity(days * spd);
-        let mut day_buf = Vec::with_capacity(spd);
-        for day in 0..days {
-            self.generate_day_into(&mut state, day, &mut day_buf);
-            samples.extend_from_slice(&day_buf);
-        }
-        let counters = state.counters();
-        let trace = PowerTrace::new(self.config.name.clone(), res, samples)?;
-        Ok((
-            trace,
-            counters,
-            SynthCheckpoint {
-                state,
-                next_day: days,
-            },
-        ))
-    }
-
-    /// Continues generation from `checkpoint` until the horizon
-    /// reaches `total_days`, returning only the appended days'
-    /// samples, the synthesis counters of the appended work alone,
-    /// and the advanced checkpoint. The appended samples are
-    /// bit-identical to the corresponding tail of a cold
-    /// `generate_days(total_days)` run — that is the whole point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::TooShort`] if `total_days` does not
-    /// extend past the checkpoint's horizon.
-    pub fn resume_days_counted(
-        &self,
-        checkpoint: SynthCheckpoint,
-        total_days: usize,
-    ) -> Result<(Vec<f64>, SynthCounters, SynthCheckpoint), TraceError> {
-        let spd = self.config.resolution.samples_per_day();
-        if total_days <= checkpoint.next_day {
-            return Err(TraceError::TooShort {
-                provided: total_days * spd,
-                required: (checkpoint.next_day + 1) * spd,
-            });
-        }
-        let SynthCheckpoint {
-            mut state,
-            next_day,
-        } = checkpoint;
-        let base = state.counters();
-        let mut samples = Vec::with_capacity((total_days - next_day) * spd);
-        let mut day_buf = Vec::with_capacity(spd);
-        for day in next_day..total_days {
-            self.generate_day_into(&mut state, day, &mut day_buf);
-            samples.extend_from_slice(&day_buf);
-        }
-        let counters = state.counters().since(base);
-        Ok((
-            samples,
-            counters,
-            SynthCheckpoint {
-                state,
-                next_day: total_days,
-            },
-        ))
-    }
-
     fn generate_counted(
         &self,
         days: usize,
@@ -611,9 +532,7 @@ impl DayState {
 /// generator state after some prefix of days, from which generation
 /// continues bit-identically to a cold run over the longer horizon.
 ///
-/// Produced by [`TraceGenerator::generate_days_checkpointed`] and
-/// [`crate::SlotStream::checkpoint`]; consumed by
-/// [`TraceGenerator::resume_days_counted`] and
+/// Produced by [`crate::SlotStream::checkpoint`]; consumed by
 /// [`TraceGenerator::slot_stream_from`]. Opaque — a checkpoint is
 /// only meaningful for the exact `(config, seed)` generator that
 /// produced it; resuming with a different generator silently yields a
@@ -825,38 +744,6 @@ mod tests {
             assert!(rel < 0.1, "{site:?}: mean power diverged by {rel}");
             let cv_gap = (s1.daily_energy_cv - s2.daily_energy_cv).abs();
             assert!(cv_gap < 0.1, "{site:?}: energy CV gap {cv_gap}");
-        }
-    }
-
-    #[test]
-    fn checkpointed_generation_resumes_bit_identically() {
-        for site_config in [Site::Hsu.config(), v2_config(Site::Hsu)] {
-            let generator = TraceGenerator::new(site_config, 7);
-            let cold = generator.generate_days(10).unwrap();
-            let (prefix, prefix_counters, checkpoint) =
-                generator.generate_days_checkpointed(6).unwrap();
-            assert_eq!(checkpoint.next_day(), 6);
-            assert_eq!(prefix.samples(), &cold.samples()[..prefix.samples().len()]);
-
-            let (tail, tail_counters, advanced) = generator
-                .resume_days_counted(checkpoint.clone(), 10)
-                .unwrap();
-            assert_eq!(advanced.next_day(), 10);
-            let spd = prefix.samples_per_day();
-            assert_eq!(tail.len(), 4 * spd);
-            assert!(tail
-                .iter()
-                .zip(&cold.samples()[6 * spd..])
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-
-            // Segment counters sum to the cold accounting.
-            let (_, cold_counters) = generator.generate_days_counted(10).unwrap();
-            let mut sum = prefix_counters;
-            sum.add(tail_counters);
-            assert_eq!(sum, cold_counters);
-
-            // A horizon at or before the checkpoint is rejected.
-            assert!(generator.resume_days_counted(checkpoint, 6).is_err());
         }
     }
 

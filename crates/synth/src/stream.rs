@@ -13,12 +13,12 @@
 //!   `solar_trace::SlotView` of the batch trace would expose.
 //!
 //! Bit-equality holds because both paths run the identical per-day
-//! generation core (same RNG draw order) and the slot mean is summed in
-//! the same sample order as `SlotView`.
+//! generation core (same RNG draw order) and reduce each slot with the
+//! same [`solar_trace::reduce_slot`] as `SlotView`.
 
 use crate::generator::{DayState, SynthCheckpoint, TraceGenerator};
 use crate::lanes::SynthCounters;
-use solar_trace::{SlotsPerDay, TraceError};
+use solar_trace::{reduce_slot, SlotsPerDay, TraceError};
 
 /// Raw samples of a synthetic trace, produced one day at a time.
 ///
@@ -244,15 +244,15 @@ impl Iterator for SlotStream {
                 .generate_day_into(&mut self.state, self.day, &mut self.day_buf);
         }
         let start = self.slot * self.samples_per_slot;
-        let chunk = &self.day_buf[start..start + self.samples_per_slot];
-        // Identical summation order to SlotView::new, so means are
+        // The same reduction SlotView::new applies, so slots are
         // bit-equal to the materialized path.
-        let mean = chunk.iter().sum::<f64>() / self.samples_per_slot as f64;
+        let (start_sample, mean_power) =
+            reduce_slot(&self.day_buf[start..start + self.samples_per_slot]);
         let item = StreamedSlot {
             day: self.day,
             slot: self.slot,
-            start_sample: chunk[0],
-            mean_power: mean,
+            start_sample,
+            mean_power,
         };
         self.slot += 1;
         if self.slot == self.n {

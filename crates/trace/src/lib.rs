@@ -51,6 +51,6 @@ mod time;
 mod trace;
 
 pub use error::TraceError;
-pub use slotting::{SlotId, SlotView};
+pub use slotting::{reduce_slot, SlotId, SlotView};
 pub use time::{Resolution, SlotsPerDay, SECONDS_PER_DAY};
 pub use trace::PowerTrace;

@@ -47,6 +47,25 @@ impl fmt::Display for SlotId {
     }
 }
 
+/// Reduces one slot's raw samples to `(start_sample, mean_power)`: the
+/// boundary sample the predictor observes, and the mean summed
+/// sequentially in sample order, then divided by the samples per slot.
+///
+/// Every slot series in the workspace — [`SlotView`], the synthesis
+/// crate's streamed slots, and the fleet engine's trace cache — goes
+/// through this one routine, so their values agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+#[inline]
+pub fn reduce_slot(samples: &[f64]) -> (f64, f64) {
+    (
+        samples[0],
+        samples.iter().sum::<f64>() / samples.len() as f64,
+    )
+}
+
 /// A read-only view of a [`PowerTrace`] discretized into `N` slots per day.
 ///
 /// The view pre-computes, once, the two per-slot series every evaluation
@@ -109,8 +128,8 @@ impl<'a> SlotView<'a> {
         let mut means = Vec::with_capacity(total_slots);
         let mut peak_mean = 0.0_f64;
         for chunk in trace.samples().chunks_exact(samples_per_slot) {
-            starts.push(chunk[0]);
-            let mean = chunk.iter().sum::<f64>() / samples_per_slot as f64;
+            let (start, mean) = reduce_slot(chunk);
+            starts.push(start);
             peak_mean = peak_mean.max(mean);
             means.push(mean);
         }

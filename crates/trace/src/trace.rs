@@ -173,11 +173,6 @@ impl PowerTrace {
             samples: self.samples[range.start * spd..range.end * spd].to_vec(),
         })
     }
-
-    /// Consumes the trace and returns the raw sample vector.
-    pub fn into_samples(self) -> Vec<f64> {
-        self.samples
-    }
 }
 
 impl fmt::Display for PowerTrace {

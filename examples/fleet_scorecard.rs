@@ -219,11 +219,11 @@ fn run(args: Args) -> Result<i32, String> {
         matrix.job_count(),
     );
 
-    // A bounded trace cache routes the large (multi-year) scenarios
-    // through the streamed path; results are byte-identical either way.
-    // The smoke budget is tight enough that the 3-year la-niña entry
-    // (≈2.4 MiB of 5-minute samples) must stream.
-    let budget: u64 = if args.smoke { 2 << 20 } else { 4 << 20 };
+    // A bounded trace cache routes the overflow through the streamed
+    // path; results are byte-identical either way. The smoke budget is
+    // tight enough that the 3-year la-niña entry (a 0.8 MiB slot series
+    // at 16 B per slot) must stream.
+    let budget: u64 = if args.smoke { 512 << 10 } else { 4 << 20 };
     let collector = if args.report.is_some() {
         Collector::recording()
     } else {
@@ -242,14 +242,14 @@ fn run(args: Args) -> Result<i32, String> {
     let mut cache = engine.new_cache();
     let result = engine.run_cached(&matrix, &mut cache)?;
     println!(
-        "evaluated {} jobs in {:.2?} on {} threads — {} streamed (trace cache ≤ {} MiB), {} materialized",
+        "evaluated {} jobs in {:.2?} on {} threads — {} streamed (trace cache ≤ {} KiB), {} materialized",
         result.outcomes.len(),
         started.elapsed(),
         threads
             .map(|t| t.to_string())
             .unwrap_or_else(|| "default".to_string()),
         result.streamed_jobs,
-        budget >> 20,
+        budget >> 10,
         result.outcomes.len() - result.streamed_jobs,
     );
 

@@ -14,7 +14,7 @@
 //!    byte-for-byte;
 //! 3. **the 200-regime scorecard is pinned** — one golden FNV-1a digest
 //!    across 1/2/8 worker threads and multiple shard counts, evaluated
-//!    under a 4 MiB trace budget so most of the fleet streams.
+//!    under a 4 MiB trace budget, which streams part of the fleet.
 
 use fleet_tuner::{group_by_regime, Regime};
 use proptest::prelude::*;
@@ -315,11 +315,11 @@ fn golden_200_regime_scorecard_is_identical_across_threads_and_shards() {
             .with_collector(collector.clone());
         let mut cache = engine.new_cache();
         let result = engine.run_cached(&matrix, &mut cache).unwrap();
-        // The 4 MiB budget admits ~60 of the 200 traces; the rest run
-        // through the streaming path.
-        assert!(
-            result.streamed_jobs >= 100,
-            "threads {threads}: only {} jobs streamed",
+        // The 4 MiB budget admits 182 of the 200 slot series (16 B per
+        // slot); the other 18 run through the streaming path.
+        assert_eq!(
+            result.streamed_jobs, 18,
+            "threads {threads}: {} jobs streamed",
             result.streamed_jobs
         );
         assert!(cache.trace_bytes() as u64 <= budget);
@@ -468,9 +468,9 @@ fn golden_200_regime_v2_scorecard_is_identical_across_threads_and_shards() {
             .with_collector(collector.clone());
         let mut cache = engine.new_cache();
         let result = engine.run_cached(&matrix, &mut cache).unwrap();
-        assert!(
-            result.streamed_jobs >= 100,
-            "threads {threads}: only {} jobs streamed",
+        assert_eq!(
+            result.streamed_jobs, 18,
+            "threads {threads}: {} jobs streamed",
             result.streamed_jobs
         );
         let json = result.scorecard.to_json_string();
@@ -559,10 +559,10 @@ fn day_append_delta_is_byte_identical_to_cold_across_threads_and_shards() {
         let delta = FleetDelta::classify(&matrix, &grown).unwrap();
         assert!(matches!(&delta, FleetDelta::DayAppend { scenarios } if scenarios.len() == 24));
 
-        // A budget around half the fleet: some scenarios resume off
-        // their extended materialized traces, the rest off streamed
-        // generator checkpoints.
-        let budget = 1u64 << 20;
+        // A budget around half the fleet's slot series (16 B per slot):
+        // some scenarios resume off their extended materialized series,
+        // the rest off streamed generator checkpoints.
+        let budget = 1u64 << 18;
         let mut reference: Option<String> = None;
         for threads in [1usize, 2, 8] {
             let engine = FleetEngine::new(GOLDEN_SEED)
@@ -571,6 +571,12 @@ fn day_append_delta_is_byte_identical_to_cold_across_threads_and_shards() {
             let mut cache = engine.new_cache();
             engine.run_cached(&matrix, &mut cache).unwrap();
             let incremental = engine.run_delta(&grown, &mut cache, &delta).unwrap();
+            assert!(
+                incremental.streamed_jobs > 0 && incremental.streamed_jobs < grown.job_count(),
+                "threads {threads}, {version:?}: {} of {} jobs streamed",
+                incremental.streamed_jobs,
+                grown.job_count()
+            );
             assert_eq!(
                 incremental.passes.trace_generations, 0,
                 "threads {threads}, {version:?}: appended days must never regenerate a prefix"

@@ -125,15 +125,16 @@ fn three_year_twelve_scenario_matrix_runs_under_a_bounded_trace_budget() {
     )
     .unwrap();
 
-    // One 3-year trace is 1095 × 288 × 8 ≈ 2.4 MiB; admit at most one.
+    // One 3-year slot series is 1095 × 48 × 16 B ≈ 0.82 MiB; admit
+    // four.
     let budget = 4u64 << 20;
     let engine = FleetEngine::new(77).with_trace_cache(TraceCachePolicy::bounded(budget));
     let mut cache = engine.new_cache();
     let result = engine.run_cached(&matrix, &mut cache).unwrap();
 
-    assert_eq!(cache.trace_count(), 1, "budget admits exactly one trace");
-    assert!(cache.trace_bytes() as u64 <= budget);
-    assert_eq!(result.streamed_jobs, 11, "the other eleven stream");
+    assert_eq!(cache.trace_count(), 4, "budget admits exactly four traces");
+    assert_eq!(cache.trace_bytes(), 4 * 1095 * 48 * 16);
+    assert_eq!(result.streamed_jobs, 8, "the other eight stream");
     let day_buffer = 288 * 8;
     for outcome in &result.outcomes {
         assert!(outcome.summary.mape.is_finite(), "{}", outcome.scenario);
@@ -143,7 +144,7 @@ fn three_year_twelve_scenario_matrix_runs_under_a_bounded_trace_budget() {
             outcome.scenario
         );
         // Streamed jobs held one day of samples, never the horizon.
-        if outcome.cost.peak_trace_bytes != 1095 * 288 * 8 {
+        if outcome.cost.peak_trace_bytes != 1095 * 48 * 16 {
             assert_eq!(outcome.cost.peak_trace_bytes, day_buffer);
         }
     }
@@ -153,7 +154,7 @@ fn three_year_twelve_scenario_matrix_runs_under_a_bounded_trace_budget() {
             .iter()
             .filter(|o| o.cost.peak_trace_bytes == day_buffer)
             .count(),
-        11
+        8
     );
 }
 
