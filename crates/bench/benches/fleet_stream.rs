@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use scenario_fleet::{
-    Catalog, FleetEngine, FleetMatrix, ManagerSpec, PredictorSpec, TraceCachePolicy,
+    Catalog, FleetEngine, FleetMatrix, ManagerSpec, PredictorSpec, Scorecard, TraceCachePolicy,
 };
 use std::hint::black_box;
 
@@ -61,8 +61,11 @@ fn bench_stream_vs_materialized(c: &mut Criterion) {
     });
 
     group.bench_function("sharded_merge", |b| {
-        let engine = FleetEngine::new(0xD1CE).with_shards(4);
-        b.iter(|| black_box(engine.run(&matrix).unwrap()));
+        let engine = FleetEngine::new(0xD1CE);
+        b.iter(|| {
+            let sharded = engine.run_sharded(&matrix, 4).unwrap();
+            black_box(Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap())
+        });
     });
     group.finish();
 }

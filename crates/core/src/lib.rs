@@ -76,7 +76,5 @@ pub use fixed_point::FixedWcmaPredictor;
 pub use history::DayHistory;
 pub use params::{KWindowPolicy, WcmaParams, WcmaParamsBuilder};
 pub use predictor::Predictor;
-pub use runner::{
-    run_predictor, run_predictor_observed, DayCheckpoint, PredictionFeed, StreamedPredictorRun,
-};
+pub use runner::{run_predictor, DayCheckpoint, PredictionFeed, StreamedPredictorRun};
 pub use wcma::{conditioning_ratio, WcmaPredictor, WcmaTerms, MAX_CONDITIONING_RATIO};

@@ -23,6 +23,10 @@ use solar_trace::SlotView;
 /// rows on 5-minute data report `MAPE = 0` at `α = 1`: with one sample
 /// per slot, `ē_n = ẽ(n) = ê(n+1)`.
 ///
+/// This is a thin loop over [`StreamedPredictorRun`] — the push-style
+/// core that slot streams drive directly — so view-driven and
+/// stream-driven metrics passes are bit-identical by construction.
+///
 /// # Panics
 ///
 /// Panics if `predictor.slots_per_day() != view.slots_per_day()` — running
@@ -46,32 +50,6 @@ use solar_trace::SlotView;
 /// # }
 /// ```
 pub fn run_predictor(view: &SlotView<'_>, predictor: &mut dyn Predictor) -> PredictionLog {
-    run_predictor_observed(view, predictor, |_, _, measured| measured)
-}
-
-/// [`run_predictor`] with an observation transform: `observe(day, slot,
-/// sample)` returns what the predictor actually sees in place of the
-/// true slot-boundary sample — a corrupted sensor reading, a quantized
-/// ADC value, a telemetry gap.
-///
-/// The logged references (`actual_start`, `actual_mean`) stay ground
-/// truth, so the resulting log scores the predictor against what the
-/// sky delivered while it observed something else. Index semantics are
-/// identical to [`run_predictor`] (which delegates here with the
-/// identity transform).
-///
-/// This is a thin wrapper over [`StreamedPredictorRun`] — the push-style
-/// core that slot streams drive directly — so view-driven and
-/// stream-driven metrics passes are bit-identical by construction.
-///
-/// # Panics
-///
-/// Panics if `predictor.slots_per_day() != view.slots_per_day()`.
-pub fn run_predictor_observed(
-    view: &SlotView<'_>,
-    predictor: &mut dyn Predictor,
-    mut observe: impl FnMut(usize, usize, f64) -> f64,
-) -> PredictionLog {
     let n = view.slots_per_day();
     assert_eq!(
         predictor.slots_per_day(),
@@ -83,9 +61,8 @@ pub fn run_predictor_observed(
     let mut run = StreamedPredictorRun::with_capacity(predictor, n, view.days() * n);
     for day in 0..view.days() {
         for slot in 0..n {
-            let true_start = view.start_sample(day, slot);
-            let observed = observe(day, slot, true_start);
-            run.on_slot(day, slot, observed, true_start, view.mean_power(day, slot));
+            let sample = view.start_sample(day, slot);
+            run.on_slot(day, slot, sample, sample, view.mean_power(day, slot));
         }
     }
     run.finish()
@@ -103,7 +80,7 @@ pub fn run_predictor_observed(
 ///
 /// The sink decides what happens to completed records: a
 /// [`PredictionLog`] materializes them (the default; what
-/// [`run_predictor_observed`] collects), while a
+/// [`run_predictor`] collects), while a
 /// [`pred_metrics::StreamingEval`] folds each record straight into
 /// protocol accumulators so a multi-year pass needs O(1) memory.
 pub struct StreamedPredictorRun<'a, S: RecordSink = PredictionLog> {
@@ -407,13 +384,32 @@ mod tests {
         assert!(!log.records().iter().any(|r| r.day == 1 && r.slot == 47));
     }
 
+    /// Feeds a streamed run every slot of `view`, with `observe`
+    /// standing in for the boundary sample the predictor sees.
+    fn streamed_log(view: &SlotView<'_>, observe: impl Fn(f64) -> f64) -> PredictionLog {
+        let mut predictor = PersistencePredictor::new(48);
+        let mut run = StreamedPredictorRun::new(&mut predictor, 48);
+        for day in 0..view.days() {
+            for slot in 0..48 {
+                let sample = view.start_sample(day, slot);
+                run.on_slot(
+                    day,
+                    slot,
+                    observe(sample),
+                    sample,
+                    view.mean_power(day, slot),
+                );
+            }
+        }
+        run.finish()
+    }
+
     #[test]
     fn observed_identity_matches_run_predictor() {
         let trace = view_of((0..96).map(|i| (i * 13 % 37) as f64).collect());
         let view = SlotView::new(&trace, SlotsPerDay::new(48).unwrap()).unwrap();
         let a = run_predictor(&view, &mut PersistencePredictor::new(48));
-        let b = run_predictor_observed(&view, &mut PersistencePredictor::new(48), |_, _, m| m);
-        assert_eq!(a, b);
+        assert_eq!(a, streamed_log(&view, |sample| sample));
     }
 
     #[test]
@@ -422,7 +418,7 @@ mod tests {
         let view = SlotView::new(&trace, SlotsPerDay::new(48).unwrap()).unwrap();
         // The predictor sees zeros everywhere; the log's references must
         // still be the true trace values.
-        let log = run_predictor_observed(&view, &mut PersistencePredictor::new(48), |_, _, _| 0.0);
+        let log = streamed_log(&view, |_| 0.0);
         for r in &log {
             assert_eq!(r.predicted, 0.0);
             assert!(r.actual_mean > 0.0);

@@ -377,7 +377,6 @@ pub fn run_supervisor(
     let mut shard_docs: Vec<ScorecardShard> = Vec::new();
     let mut shard_reasons: BTreeMap<usize, String> = BTreeMap::new();
     let mut scenario_reasons: BTreeMap<String, String> = BTreeMap::new();
-    let mut degraded = false;
     for (shard_index, slot) in slots.iter().enumerate() {
         match &slot.artifact {
             Some(artifact) => {
@@ -385,7 +384,6 @@ pub fn run_supervisor(
                     .absorb_ledger(&artifact.ledger)
                     .map_err(|e| format!("shard {shard_index} ledger: {e}"))?;
                 for q in &artifact.quarantined {
-                    degraded = true;
                     scenario_reasons.insert(
                         q.scenario.clone(),
                         format!("work unit panicked: {}", q.error),
@@ -394,7 +392,6 @@ pub fn run_supervisor(
                 shard_docs.push(artifact.shard.clone());
             }
             None => {
-                degraded = true;
                 shard_reasons.insert(
                     shard_index,
                     format!(
@@ -419,30 +416,19 @@ pub fn run_supervisor(
         })
         .collect();
 
-    let (outcome, scorecard, coverage) = if !degraded {
-        let scorecard =
-            Scorecard::merge_shards_observed(&expected_manifest, &shard_docs, collector)?;
-        let coverage = CoverageManifest {
-            covered: expected_manifest
-                .scenarios
-                .iter()
-                .map(|(name, _)| name.clone())
-                .collect(),
-            missing: Vec::new(),
-        };
-        (RunOutcome::Complete, Some(scorecard), coverage)
+    let (scorecard, coverage) = Scorecard::merge_shards_partial(
+        &expected_manifest,
+        &shard_docs,
+        &shard_reasons,
+        &scenario_reasons,
+        collector,
+    )?;
+    let (outcome, scorecard) = if coverage.is_complete() {
+        (RunOutcome::Complete, Some(scorecard))
+    } else if coverage.covered.is_empty() {
+        (RunOutcome::Failed, None)
     } else {
-        let (scorecard, coverage) = Scorecard::merge_shards_partial(
-            &expected_manifest,
-            &shard_docs,
-            &shard_reasons,
-            &scenario_reasons,
-        )?;
-        if coverage.covered.is_empty() {
-            (RunOutcome::Failed, None, coverage)
-        } else {
-            (RunOutcome::Degraded, Some(scorecard), coverage)
-        }
+        (RunOutcome::Degraded, Some(scorecard))
     };
     collector.label("harness/outcome", outcome.name());
     collector.gauge("harness/covered_scenarios", coverage.covered.len() as u64);

@@ -3,7 +3,7 @@
 //!
 //! The ledger is the *deterministic* observability plane: every value
 //! recorded into it must be a pure function of the run's inputs (matrix,
-//! seed, resolved budget, cache warmth) — never of thread timing. The
+//! seed, configured budget, cache warmth) — never of thread timing. The
 //! representation enforces the rest: all maps are ordered
 //! (`BTreeMap`), counters merge by *summation* and gauges by *maximum*
 //! (both commutative and associative), so the rendered JSON is
@@ -26,7 +26,7 @@ pub struct Ledger {
     counters: BTreeMap<String, u64>,
     /// Per-scenario counters: scenario id → `phase/name` → count.
     scenarios: BTreeMap<String, BTreeMap<String, u64>>,
-    /// Point-in-time values (e.g. a resolved budget); merge maxes.
+    /// Point-in-time values (e.g. a configured budget); merge maxes.
     gauges: BTreeMap<String, u64>,
     /// Descriptive settings (e.g. the budget source); merge requires
     /// agreement.

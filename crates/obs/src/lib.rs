@@ -10,7 +10,7 @@
 //! - **The deterministic plane** — a [`Ledger`] of counters, gauges,
 //!   labels, and [`Histogram`]s keyed by `phase/name` and optionally
 //!   broken down per scenario. Every recorded value is a pure function
-//!   of the run's inputs (catalog, seed, resolved trace budget, cache
+//!   of the run's inputs (catalog, seed, configured trace budget, cache
 //!   warmth), and the commutative merge rules (sum / max / must-agree
 //!   / bucket-wise sum) plus sorted JSON keys make the rendered ledger
 //!   byte-identical across 1, 2, or 8 worker threads and across shard

@@ -68,9 +68,10 @@
 //! identical slot values into the same machines, so outcomes are
 //! bit-identical by construction — multi-year scenarios can run under a
 //! bounded memory budget without perturbing a single byte of output.
-//! The default [`TraceCachePolicy::Adaptive`] sizes the budget from the
-//! machine's available memory (fixed 4 MiB fallback), closing the
-//! roadmap's adaptive-policy item.
+//! The default policy is a fixed [`DEFAULT_TRACE_BUDGET_BYTES`] (4 MiB)
+//! budget: the materialize/stream split depends on the matrix alone,
+//! never on the host, so the admission and synthesis ledger counters
+//! are as reproducible as the scorecard.
 //!
 //! # Incremental re-scoring
 //!
@@ -89,8 +90,8 @@
 //! The engine reports on itself through an optional
 //! [`fleet_obs::Collector`] ([`FleetEngine::with_collector`]): phase
 //! spans (`fleet/project` → `admission` → `synthesis` → `simulate` →
-//! `score`/`merge`) on the timing plane, and deterministic ledger
-//! counters — admission decisions with the resolved budget, synthesis
+//! `score`) on the timing plane, and deterministic ledger
+//! counters — admission decisions with the configured budget, synthesis
 //! passes, cache hits, slot counts, bank sizes, fault specs — recorded
 //! at **work-unit granularity** (one batch of counter updates per
 //! scenario unit, computed arithmetically), never inside the per-slot
@@ -252,90 +253,25 @@ impl ShardedFleetResult {
 /// costs 23,040 B whatever its sample resolution.
 ///
 /// Scenarios are admitted greedily in matrix order — a deterministic
-/// admission order depending only on the matrix and the resolved
-/// budget; a scenario whose trace would push the running total past the
-/// budget runs **streamed** instead
+/// admission order depending only on the matrix and the budget; a
+/// scenario whose trace would push the running total past the budget
+/// runs **streamed** instead
 /// ([`SlotStream`](solar_synth::SlotStream)-driven, one day buffered).
 /// Outputs stay byte-identical across policies, thread counts and cache
 /// warmth, because both sources drive the same per-slot machines.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum TraceCachePolicy {
     /// Materialize every trace (the classic engine behaviour).
     Unbounded,
     /// Materialize traces until this many bytes of slot series (16 B
     /// per slot) are held; stream the rest.
     Bounded(u64),
-    /// Size the trace budget from a memory ceiling: `1/8` of the
-    /// configured ceiling when given, else `1/8` of the machine's
-    /// available memory detected at run start, else the fixed
-    /// [`ADAPTIVE_FALLBACK_BUDGET_BYTES`] (4 MiB) default. The engine
-    /// default: small fleets materialize, fleets that would not fit
-    /// stream — with byte-identical output either way (only the
-    /// materialize/stream split moves with the machine).
-    Adaptive {
-        /// Optional configured memory ceiling in bytes; `None` detects
-        /// available memory at run start.
-        ceiling_bytes: Option<u64>,
-    },
 }
 
-/// The adaptive policy's trace budget when no ceiling is configured and
-/// the machine's available memory cannot be detected.
-pub const ADAPTIVE_FALLBACK_BUDGET_BYTES: u64 = 4 << 20;
-
-/// Where a run's trace budget came from — the previously invisible
-/// half of the adaptive policy's decision, now recorded in the run
-/// ledger (`admission/trace_budget_source`) and printed in scorecard
-/// text output.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum TraceBudgetSource {
-    /// [`TraceCachePolicy::Unbounded`]: no budget at all.
-    Unbounded,
-    /// [`TraceCachePolicy::Bounded`]: the configured byte count.
-    Configured,
-    /// Adaptive with an explicit ceiling: `ceiling / 8`.
-    AdaptiveCeiling,
-    /// Adaptive from `/proc/meminfo` `MemAvailable`: `available / 8`.
-    AdaptiveDetectedMemory,
-    /// Adaptive with nothing to consult: the fixed 4 MiB fallback.
-    AdaptiveFallback,
-}
-
-impl std::fmt::Display for TraceBudgetSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TraceBudgetSource::Unbounded => "unbounded",
-            TraceBudgetSource::Configured => "configured",
-            TraceBudgetSource::AdaptiveCeiling => "adaptive-ceiling",
-            TraceBudgetSource::AdaptiveDetectedMemory => "adaptive-detected-memory",
-            TraceBudgetSource::AdaptiveFallback => "adaptive-fallback",
-        })
-    }
-}
-
-/// A trace budget as one run enforces it: the byte count (`None` =
-/// unbounded) plus where it came from. Resolved **once** per run.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ResolvedTraceBudget {
-    /// Enforced budget in bytes; `None` means unbounded.
-    pub bytes: Option<u64>,
-    /// How the bytes were chosen.
-    pub source: TraceBudgetSource,
-}
-
-impl std::fmt::Display for ResolvedTraceBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.bytes {
-            None => write!(f, "unbounded ({})", self.source),
-            Some(bytes) => write!(f, "{bytes} bytes ({})", self.source),
-        }
-    }
-}
-
-/// Fraction of the memory ceiling the adaptive policy spends on
-/// materialized traces (the denominator: budget = ceiling / 8).
-const ADAPTIVE_CEILING_DIVISOR: u64 = 8;
+/// The default trace budget: 4 MiB of slot series, which holds the
+/// whole builtin catalog (≈2.2 MB) and streams only fleets larger than
+/// that.
+pub const DEFAULT_TRACE_BUDGET_BYTES: u64 = 4 << 20;
 
 impl TraceCachePolicy {
     /// Materialize every trace.
@@ -354,102 +290,23 @@ impl TraceCachePolicy {
         Self::bounded(0)
     }
 
-    /// Size the budget from the machine's available memory (default).
-    pub fn adaptive() -> Self {
-        TraceCachePolicy::Adaptive {
-            ceiling_bytes: None,
-        }
-    }
-
-    /// Size the budget from an explicit memory ceiling — deterministic
-    /// across machines, unlike detection.
-    pub fn adaptive_with_ceiling(ceiling_bytes: u64) -> Self {
-        TraceCachePolicy::Adaptive {
-            ceiling_bytes: Some(ceiling_bytes),
-        }
-    }
-
-    /// The budget a run under this policy enforces, with its source.
-    /// For [`TraceCachePolicy::Adaptive`] without a configured ceiling
-    /// this consults the machine's available memory, so it may differ
-    /// between calls; the engine resolves it **once** per run, keeping
-    /// the admission split fixed within a run.
-    pub fn resolve(&self) -> ResolvedTraceBudget {
-        self.resolve_with(detected_available_memory_bytes)
-    }
-
-    /// [`TraceCachePolicy::resolve`] with `probe` standing in for the
-    /// machine's available-memory detection.
-    fn resolve_with(&self, probe: MemoryProbe) -> ResolvedTraceBudget {
+    fn admits(&self, running_total: u64, trace_bytes: u64) -> bool {
         match *self {
-            TraceCachePolicy::Unbounded => ResolvedTraceBudget {
-                bytes: None,
-                source: TraceBudgetSource::Unbounded,
-            },
-            TraceCachePolicy::Bounded(bytes) => ResolvedTraceBudget {
-                bytes: Some(bytes),
-                source: TraceBudgetSource::Configured,
-            },
-            TraceCachePolicy::Adaptive { ceiling_bytes } => {
-                let (ceiling, source) = match ceiling_bytes {
-                    Some(ceiling) => (Some(ceiling), TraceBudgetSource::AdaptiveCeiling),
-                    None => match probe() {
-                        Some(available) => {
-                            (Some(available), TraceBudgetSource::AdaptiveDetectedMemory)
-                        }
-                        None => (None, TraceBudgetSource::AdaptiveFallback),
-                    },
-                };
-                ResolvedTraceBudget {
-                    bytes: Some(
-                        ceiling
-                            .map(|c| c / ADAPTIVE_CEILING_DIVISOR)
-                            .unwrap_or(ADAPTIVE_FALLBACK_BUDGET_BYTES),
-                    ),
-                    source,
-                }
+            TraceCachePolicy::Unbounded => true,
+            TraceCachePolicy::Bounded(budget) => {
+                running_total.saturating_add(trace_bytes) <= budget
             }
-        }
-    }
-
-    /// The resolved budget's byte count alone (see
-    /// [`TraceCachePolicy::resolve`]).
-    pub fn budget_bytes(&self) -> Option<u64> {
-        self.resolve().bytes
-    }
-
-    fn admits(resolved_budget: Option<u64>, running_total: u64, trace_bytes: u64) -> bool {
-        match resolved_budget {
-            None => true,
-            Some(budget) => running_total.saturating_add(trace_bytes) <= budget,
         }
     }
 }
 
 impl Default for TraceCachePolicy {
+    /// [`DEFAULT_TRACE_BUDGET_BYTES`]: a fixed budget, so the admission
+    /// split — and every `admission/*` and `synth/*` ledger counter —
+    /// is a function of the matrix alone, never of the host.
     fn default() -> Self {
-        Self::adaptive()
+        Self::bounded(DEFAULT_TRACE_BUDGET_BYTES)
     }
-}
-
-/// Reports the machine's available memory in bytes, or `None` when it
-/// cannot tell. [`FleetEngine::with_memory_probe`] replaces the default
-/// (`/proc/meminfo` `MemAvailable`) so tests can pin what an adaptive
-/// policy detects.
-pub type MemoryProbe = fn() -> Option<u64>;
-
-/// `MemAvailable` from `/proc/meminfo`, in bytes (`None` off Linux or
-/// when unreadable) — the default [`MemoryProbe`].
-fn detected_available_memory_bytes() -> Option<u64> {
-    if !cfg!(target_os = "linux") {
-        return None;
-    }
-    let meminfo = std::fs::read_to_string("/proc/meminfo").ok()?;
-    let line = meminfo
-        .lines()
-        .find(|line| line.starts_with("MemAvailable:"))?;
-    let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kib * 1024)
 }
 
 /// One materialized trace's memory footprint: 16 B per slot, its
@@ -780,30 +637,25 @@ pub struct FleetEngine {
     threads: Option<usize>,
     protocol: EvalProtocol,
     cache_policy: TraceCachePolicy,
-    shards: Option<usize>,
     collector: Collector,
     quarantine: bool,
     chaos_unit_panic: Option<String>,
-    memory_probe: MemoryProbe,
 }
 
 impl FleetEngine {
     /// An engine deriving all randomness from `master_seed`, evaluating
     /// under the paper's protocol, using all available cores and the
-    /// adaptive trace-cache policy (small fleets materialize, fleets
-    /// that would not fit in memory stream — byte-identical either
-    /// way).
+    /// default 4 MiB trace budget (small fleets materialize, larger
+    /// ones stream the overflow — byte-identical either way).
     pub fn new(master_seed: u64) -> Self {
         FleetEngine {
             master_seed,
             threads: None,
             protocol: EvalProtocol::paper(),
             cache_policy: TraceCachePolicy::default(),
-            shards: None,
             collector: Collector::noop(),
             quarantine: false,
             chaos_unit_panic: None,
-            memory_probe: detected_available_memory_bytes,
         }
     }
 
@@ -846,24 +698,6 @@ impl FleetEngine {
     /// overflow; outputs stay byte-identical either way).
     pub fn with_trace_cache(mut self, policy: TraceCachePolicy) -> Self {
         self.cache_policy = policy;
-        self
-    }
-
-    /// Replaces how an adaptive [`TraceCachePolicy`] without a ceiling
-    /// reads the machine's available memory (default: `/proc/meminfo`
-    /// `MemAvailable`). A detected budget shapes the admission split
-    /// but never reaches the run ledger.
-    pub fn with_memory_probe(mut self, probe: MemoryProbe) -> Self {
-        self.memory_probe = probe;
-        self
-    }
-
-    /// Routes [`FleetEngine::run`]/[`FleetEngine::run_cached`] through
-    /// the sharded reduction with `shards` shards merged back into the
-    /// returned scorecard — byte-identical to the monolithic reduction,
-    /// so callers (e.g. the tuner) consume sharded results unchanged.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
         self
     }
 
@@ -940,30 +774,14 @@ impl FleetEngine {
         self.install(|| {
             let _run_span = self.collector.span("fleet");
             let evaluated = self.evaluate_matrix(matrix, cache)?;
-            let mut scorecard = match self.shards {
-                None => {
-                    let _span = self.collector.span("fleet/score");
-                    Scorecard::build(&evaluated.effective, &evaluated.outcomes, self.master_seed)
-                }
-                Some(count) => {
-                    let count = self.clamp_shard_count(count, evaluated.effective.scenarios.len());
-                    let _span = self.collector.span("fleet/score");
-                    let (manifest, shards) = Self::shard_outcomes(
-                        &evaluated.effective,
-                        &evaluated.outcomes,
-                        self.master_seed,
-                        count,
-                    )?;
-                    drop(_span);
-                    let _span = self.collector.span("fleet/merge");
-                    Scorecard::merge_shards_observed(&manifest, &shards, &self.collector)?
-                }
+            let scorecard = {
+                let _span = self.collector.span("fleet/score");
+                Scorecard::build(&evaluated.effective, &evaluated.outcomes, self.master_seed)
             };
             self.collector.count(
                 "score/scenarios_ranked",
                 evaluated.effective.scenarios.len() as u64,
             );
-            scorecard.trace_budget = Some(evaluated.resolved_budget);
             Ok(FleetResult {
                 outcomes: evaluated.outcomes,
                 scorecard,
@@ -982,10 +800,8 @@ impl FleetEngine {
     /// multi-year entries spread across shards.
     ///
     /// A shard count outside `1..=scenario_count` is **clamped** into
-    /// range — the same graceful degradation the routed
-    /// [`FleetEngine::with_shards`] path has always had, so the two
-    /// entry points can no longer diverge. A clamp is recorded in the
-    /// run ledger under the `shards/clamped` label.
+    /// range, and the clamp is recorded in the run ledger under the
+    /// `shards/clamped` label.
     ///
     /// # Errors
     ///
@@ -1094,11 +910,8 @@ impl FleetEngine {
         self.run_cached(matrix, cache)
     }
 
-    /// Clamps a requested shard count into `1..=scenario_count` — the
-    /// documented degradation shared by **every** sharded entry point
-    /// (routed [`FleetEngine::with_shards`] and the explicit
-    /// [`FleetEngine::run_sharded`] family), recording a
-    /// `shards/clamped` ledger label when it bites.
+    /// Clamps a requested shard count into `1..=scenario_count`,
+    /// recording a `shards/clamped` ledger label when it bites.
     fn clamp_shard_count(&self, requested: usize, scenario_count: usize) -> usize {
         let clamped = requested.clamp(1, scenario_count.max(1));
         if clamped != requested && self.collector.is_enabled() {
@@ -1200,15 +1013,12 @@ impl FleetEngine {
             .collect();
 
         // Cache-policy admission, greedily in scenario order — a pure
-        // function of the matrix and the budget resolved once here, so
-        // the materialize/stream split never depends on thread timing
-        // (an adaptive policy consults memory exactly once per run).
-        // Warm traces stay admitted (they are already paid for) and
-        // count toward the budget. A render seen earlier in the matrix
-        // streams: one cached series serves one horizon.
+        // function of the matrix and the policy, so the
+        // materialize/stream split never depends on thread timing or
+        // the host. Warm traces stay admitted (they are already paid
+        // for) and count toward the budget. A render seen earlier in
+        // the matrix streams: one cached series serves one horizon.
         let admission_span = self.collector.span("fleet/admission");
-        let resolved = self.cache_policy.resolve_with(self.memory_probe);
-        let resolved_budget = resolved.bytes;
         let mut admitted = vec![false; matrix.scenarios.len()];
         let mut warm = vec![false; matrix.scenarios.len()];
         let mut running_total = 0u64;
@@ -1220,20 +1030,20 @@ impl FleetEngine {
             }
             let bytes = Self::trace_bytes(scenario);
             warm[idx] = cache.traces.get(render).is_some_and(|t| t.days == *days);
-            if warm[idx] || TraceCachePolicy::admits(resolved_budget, running_total, bytes) {
+            if warm[idx] || self.cache_policy.admits(running_total, bytes) {
                 admitted[idx] = true;
                 running_total = running_total.saturating_add(bytes);
             }
         }
         if self.collector.is_enabled() {
-            self.collector.label(
-                "admission/trace_budget_source",
-                &resolved.source.to_string(),
-            );
-            // A detected budget describes the host, not the run: it
-            // stays in the scorecard's text output, off the ledger.
-            if let Some(bytes) = resolved.bytes {
-                if resolved.source != TraceBudgetSource::AdaptiveDetectedMemory {
+            match self.cache_policy {
+                TraceCachePolicy::Unbounded => {
+                    self.collector
+                        .label("admission/trace_budget_source", "unbounded");
+                }
+                TraceCachePolicy::Bounded(bytes) => {
+                    self.collector
+                        .label("admission/trace_budget_source", "configured");
                     self.collector.gauge("admission/trace_budget_bytes", bytes);
                 }
             }
@@ -1490,7 +1300,6 @@ impl FleetEngine {
             cached_jobs,
             streamed_jobs,
             passes,
-            resolved_budget: resolved,
             quarantined,
         })
     }
@@ -2412,7 +2221,6 @@ struct EvaluatedMatrix {
     cached_jobs: usize,
     streamed_jobs: usize,
     passes: PassBreakdown,
-    resolved_budget: ResolvedTraceBudget,
     quarantined: Vec<QuarantinedScenario>,
 }
 
@@ -2481,8 +2289,8 @@ mod tests {
         let result = FleetEngine::new(42).run(&small_matrix()).unwrap();
         assert_eq!(result.outcomes.len(), 2 * 2 * 2);
         assert_eq!(result.cached_jobs, 0);
-        // The default adaptive budget (≥ the 4 MiB fallback) comfortably
-        // admits this matrix's 60 KiB of slot series.
+        // The default 4 MiB budget comfortably admits this matrix's
+        // 60 KiB of slot series.
         assert_eq!(result.streamed_jobs, 0, "small fleets must not stream");
         for outcome in &result.outcomes {
             assert!(outcome.summary.count > 0, "{}", outcome.scenario);
@@ -2548,6 +2356,35 @@ mod tests {
     }
 
     #[test]
+    fn quarantined_scenario_is_missing_coverage_in_both_merges() {
+        // The monolithic run succeeds with an empty table for the
+        // quarantined scenario; its sharded twin must merge to the same
+        // answer: a named hole, not a combo-set mismatch.
+        let matrix = small_matrix();
+        let engine = FleetEngine::new(42)
+            .with_quarantine(true)
+            .with_chaos_unit_panic("desert-clear-sky");
+        assert!(engine.run(&matrix).is_ok());
+        let sharded = engine.run_sharded(&matrix, 2).unwrap();
+        let err = Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap_err();
+        assert!(err.contains("incomplete coverage"), "{err}");
+        assert!(err.contains("\"desert-clear-sky\""), "{err}");
+        let (merged, coverage) = Scorecard::merge_shards_partial(
+            &sharded.manifest,
+            &sharded.shards,
+            &std::collections::BTreeMap::new(),
+            &std::collections::BTreeMap::new(),
+            &Collector::noop(),
+        )
+        .unwrap();
+        assert_eq!(coverage.covered, vec!["aging-node".to_string()]);
+        assert_eq!(coverage.missing.len(), 1);
+        assert_eq!(coverage.missing[0].scenario, "desert-clear-sky");
+        let clean = FleetEngine::new(42).run(&matrix).unwrap();
+        assert_eq!(merged.per_scenario, clean.scorecard.per_scenario[1..]);
+    }
+
+    #[test]
     fn streaming_only_policy_is_byte_identical_and_never_materializes() {
         let matrix = small_matrix();
         let materialized = FleetEngine::new(5).run(&matrix).unwrap();
@@ -2594,66 +2431,6 @@ mod tests {
         assert_eq!(
             result.scorecard.to_json_string(),
             reference.scorecard.to_json_string()
-        );
-    }
-
-    #[test]
-    fn adaptive_policy_resolves_budgets_and_stays_byte_identical() {
-        // Configured ceilings resolve deterministically (ceiling / 8)…
-        assert_eq!(
-            TraceCachePolicy::adaptive_with_ceiling(32 << 20).budget_bytes(),
-            Some(4 << 20)
-        );
-        // …and detection always yields *some* budget (the 4 MiB default
-        // when the machine's memory cannot be read).
-        // (No floor is asserted on the detected value: a genuinely
-        // memory-starved machine may resolve below the fallback — the
-        // fallback only applies when detection is impossible.)
-        let detected = TraceCachePolicy::adaptive().budget_bytes();
-        assert!(detected.is_some_and(|budget| budget > 0));
-        assert_eq!(ADAPTIVE_FALLBACK_BUDGET_BYTES, 4 << 20);
-
-        // The resolution also names its source — the decision is no
-        // longer invisible.
-        assert_eq!(
-            TraceCachePolicy::unbounded().resolve(),
-            ResolvedTraceBudget {
-                bytes: None,
-                source: TraceBudgetSource::Unbounded,
-            }
-        );
-        assert_eq!(
-            TraceCachePolicy::bounded(512).resolve(),
-            ResolvedTraceBudget {
-                bytes: Some(512),
-                source: TraceBudgetSource::Configured,
-            }
-        );
-        let ceiled = TraceCachePolicy::adaptive_with_ceiling(32 << 20).resolve();
-        assert_eq!(ceiled.source, TraceBudgetSource::AdaptiveCeiling);
-        assert_eq!(ceiled.to_string(), "4194304 bytes (adaptive-ceiling)");
-        let adaptive = TraceCachePolicy::adaptive().resolve();
-        assert!(matches!(
-            adaptive.source,
-            TraceBudgetSource::AdaptiveDetectedMemory | TraceBudgetSource::AdaptiveFallback
-        ));
-
-        // A starved ceiling forces streaming; the scorecard must not
-        // move by a byte relative to the unbounded run.
-        let matrix = small_matrix();
-        let unbounded = FleetEngine::new(11)
-            .with_trace_cache(TraceCachePolicy::unbounded())
-            .run(&matrix)
-            .unwrap();
-        let starved_engine =
-            FleetEngine::new(11).with_trace_cache(TraceCachePolicy::adaptive_with_ceiling(8));
-        let mut cache = starved_engine.new_cache();
-        let starved = starved_engine.run_cached(&matrix, &mut cache).unwrap();
-        assert_eq!(starved.streamed_jobs, matrix.job_count());
-        assert_eq!(cache.trace_count(), 0, "starved ceiling must stream");
-        assert_eq!(
-            starved.scorecard.to_json_string(),
-            unbounded.scorecard.to_json_string()
         );
     }
 
@@ -2712,12 +2489,14 @@ mod tests {
         assert_eq!(ledger.counter("score/scenarios_ranked"), scenarios);
         assert_eq!(ledger.counter("jobs/fresh"), jobs);
         assert!(ledger.counter("slots/processed") > 0);
-        assert!(ledger
-            .label_value("admission/trace_budget_source")
-            .is_some());
-        // The resolved budget also reaches the scorecard's text output
-        // (text-only; the pinned JSON above proved it stays out of it).
-        assert!(observed.scorecard.render_text().contains("trace budget: "));
+        assert_eq!(
+            ledger.label_value("admission/trace_budget_source"),
+            Some("configured")
+        );
+        assert_eq!(
+            ledger.gauge_value("admission/trace_budget_bytes"),
+            Some(DEFAULT_TRACE_BUDGET_BYTES)
+        );
         // Phase spans landed under the run root.
         let report = collector.report();
         let fleet = report
@@ -2888,21 +2667,12 @@ mod tests {
             merged.to_json_string(),
             monolithic.scorecard.to_json_string()
         );
-        // The engine-level routing produces the same bytes too.
-        let routed = FleetEngine::new(31).with_shards(2).run(&matrix).unwrap();
-        assert_eq!(
-            routed.scorecard.to_json_string(),
-            monolithic.scorecard.to_json_string()
-        );
     }
 
     #[test]
     fn out_of_range_shard_counts_clamp_like_the_routed_path() {
-        // `run_sharded` historically rejected counts that
-        // `with_shards` silently clamped — same matrix, divergent
-        // behavior. Both entry points now share the documented clamp
-        // into `1..=scenario_count`, and the clamped artifacts still
-        // merge back to the monolithic bytes.
+        // Counts outside `1..=scenario_count` clamp into range, and the
+        // clamped artifacts still merge back to the monolithic bytes.
         let matrix = small_matrix();
         let monolithic = FleetEngine::new(1).run(&matrix).unwrap();
         let low = FleetEngine::new(1).run_sharded(&matrix, 0).unwrap();
@@ -3235,38 +3005,59 @@ mod tests {
     }
 
     #[test]
-    fn detected_memory_never_reaches_the_ledger() {
+    fn default_budget_is_a_fixed_4_mib_whatever_the_host() {
+        // Six three-year, 48-slot scenarios hold ≈5 MiB of slot series:
+        // more than the default budget, so the admission split — and
+        // with it every admission/synth counter — is decided by the
+        // budget. The default must be the configured 4 MiB, never a
+        // figure read from the machine. (Half-hour samples keep the
+        // synthesis cheap; the footprint counts slots, not samples.)
+        let mut base = Catalog::builtin().get("la-nina-triennium").unwrap().clone();
+        assert_eq!((base.days, base.slots_per_day), (1095, 48));
+        base.site = crate::catalog::SiteSpec::Custom {
+            latitude_deg: -8.0,
+            resolution_minutes: 30,
+            climate: crate::catalog::Climate::Monsoon,
+        };
+        let scenarios: Vec<Scenario> = (0..6)
+            .map(|i| {
+                let mut scenario = base.clone();
+                scenario.name = format!("triennium-{i}");
+                scenario
+            })
+            .collect();
+        assert!(scenarios.iter().map(FleetEngine::trace_bytes).sum::<u64>() > 4 << 20);
+        let matrix = FleetMatrix::new(
+            vec![PredictorSpec::Persistence],
+            vec![ManagerSpec::Greedy],
+            scenarios,
+        )
+        .unwrap();
         let run = |engine: FleetEngine| {
             let collector = Collector::recording();
             let result = engine
                 .with_collector(collector.clone())
-                .run(&small_matrix())
+                .run(&matrix)
                 .unwrap();
-            (collector.ledger(), result.scorecard)
+            (collector.ledger(), result)
         };
-        let (small, small_card) = run(FleetEngine::new(67).with_memory_probe(|| Some(8 << 30)));
-        let (large, large_card) = run(FleetEngine::new(67).with_memory_probe(|| Some(64 << 30)));
-        assert_eq!(small.to_json_string(), large.to_json_string());
-        assert_eq!(small.gauge_value("admission/trace_budget_bytes"), None);
+        let (default_ledger, default_run) = run(FleetEngine::new(67));
+        let (bounded_ledger, bounded_run) =
+            run(FleetEngine::new(67).with_trace_cache(TraceCachePolicy::bounded(4 << 20)));
         assert_eq!(
-            small.label_value("admission/trace_budget_source"),
-            Some("adaptive-detected-memory")
+            default_ledger.to_json_string(),
+            bounded_ledger.to_json_string()
         );
-        // The detected budget stays in the text output.
-        assert!(small_card.render_text().contains("1073741824 bytes"));
-        assert!(large_card.render_text().contains("8589934592 bytes"));
-        // Budgets the configuration fixes still land on the ledger.
-        let (fallback, _) = run(FleetEngine::new(67).with_memory_probe(|| None));
         assert_eq!(
-            fallback.gauge_value("admission/trace_budget_bytes"),
-            Some(ADAPTIVE_FALLBACK_BUDGET_BYTES)
+            TraceCachePolicy::default(),
+            TraceCachePolicy::bounded(4 << 20)
         );
-        let (bounded, _) =
-            run(FleetEngine::new(67).with_trace_cache(TraceCachePolicy::bounded(1 << 20)));
         assert_eq!(
-            bounded.gauge_value("admission/trace_budget_bytes"),
-            Some(1 << 20)
+            default_run.scorecard.to_json_string(),
+            bounded_run.scorecard.to_json_string()
         );
+        assert!(default_run.streamed_jobs > 0, "the overflow must stream");
+        assert!(default_ledger.counter("admission/streamed_scenarios") > 0);
     }
 
     #[test]

@@ -69,9 +69,8 @@ pub use catalog::{Catalog, Climate, NodeProfile, Scenario, SiteSpec};
 // engine's ledger; re-exported so fleet users never import the synth
 // crate just to name V1/V2.
 pub use engine::{
-    FleetCache, FleetDelta, FleetEngine, FleetResult, JobOutcome, MemoryProbe, PassBreakdown,
-    PruneStats, QuarantinedScenario, ResolvedTraceBudget, ShardedFleetResult, TraceBudgetSource,
-    TraceCachePolicy, ADAPTIVE_FALLBACK_BUDGET_BYTES,
+    FleetCache, FleetDelta, FleetEngine, FleetResult, JobOutcome, PassBreakdown, PruneStats,
+    QuarantinedScenario, ShardedFleetResult, TraceCachePolicy, DEFAULT_TRACE_BUDGET_BYTES,
 };
 pub use faults::{storage_capacity_factor, FaultInjector, FaultSpec};
 pub use fleet_faults::{FalloffProfile, FleetFault, SpatialFalloff};

@@ -31,9 +31,12 @@
 //! [`ShardManifest`] plus one [`ScorecardShard`] per scenario subset.
 //! Because the overall table is a pure function of the per-scenario
 //! rankings (one shared code path, [`Scorecard::build`] uses it too),
-//! [`Scorecard::merge_shards`] reproduces the monolithic scorecard
-//! **byte-for-byte** from shards in any order — pinned by tests across
-//! thread counts and shard orderings.
+//! the one shard merge, [`Scorecard::merge_shards_partial`], reproduces
+//! the monolithic scorecard **byte-for-byte** from shards in any order
+//! — pinned by tests across thread counts and shard orderings — and
+//! reports what it could not cover in a [`CoverageManifest`].
+//! [`Scorecard::merge_shards`] is its strict form: complete coverage
+//! or an error naming the holes.
 //!
 //! JSON output is deterministic: entries carry explicit ranks, object
 //! keys have fixed order, and floats use shortest-round-trip formatting
@@ -45,11 +48,12 @@
 //! wall-time field in the JSON would break the byte-identity contract
 //! between runs and between full and incremental re-scoring).
 
-use crate::engine::{JobOutcome, ResolvedTraceBudget};
+use crate::engine::JobOutcome;
 use crate::json::Json;
 use crate::matrix::FleetMatrix;
 use fleet_obs::Collector;
 use pred_metrics::{CostAggregate, ErrorSummary, SummaryAggregate};
+use std::collections::BTreeMap;
 
 const BROWNOUT_WEIGHT: f64 = 2.0;
 const WASTE_WEIGHT: f64 = 1.0;
@@ -174,13 +178,6 @@ pub struct Scorecard {
     /// [`Scorecard::render_text`] only — never into the byte-pinned
     /// JSON.
     pub cost: CostAggregate,
-    /// The trace budget the producing run enforced, with its source —
-    /// the adaptive policy's previously invisible decision. Like
-    /// `cost`, it is machine-dependent (detected memory moves between
-    /// hosts), so it renders in [`Scorecard::render_text`] only, never
-    /// into the byte-pinned JSON. `None` for merged or hand-built
-    /// scorecards.
-    pub trace_budget: Option<ResolvedTraceBudget>,
 }
 
 fn service_score(brownout_rate: f64, utilization: f64, mape: f64) -> f64 {
@@ -214,7 +211,6 @@ impl Scorecard {
             // Sums and maxes of integers: order-insensitive, no sort
             // needed.
             cost: CostAggregate::of(outcomes.iter().map(|o| o.cost)),
-            trace_budget: None,
         }
     }
 
@@ -267,7 +263,7 @@ impl Scorecard {
 
     /// The overall table as a pure function of the per-scenario tables —
     /// the shared reduction behind both [`Scorecard::build`] and
-    /// [`Scorecard::merge_shards`], which is what makes merged output
+    /// [`Scorecard::merge_shards_partial`], which is what makes merged output
     /// byte-identical to monolithic output.
     ///
     /// An engine-built matrix is a full cross product (every combo in
@@ -334,374 +330,81 @@ impl Scorecard {
         overall
     }
 
-    /// Reassembles the monolithic scorecard from shards (any order).
+    /// Reassembles the monolithic scorecard from shards (any order),
+    /// requiring every scenario to be covered.
     ///
-    /// The output is byte-identical to what [`Scorecard::build`] over
-    /// the full outcome set produces: per-scenario tables are
-    /// concatenated in manifest order and the overall table re-derives
-    /// through the shared reduction.
+    /// A thin wrapper over [`Scorecard::merge_shards_partial`] with no
+    /// declared holes and no collector: the output is byte-identical to
+    /// what [`Scorecard::build`] over the full outcome set produces.
     ///
     /// # Errors
     ///
-    /// Rejects missing/duplicate/foreign shards, seed mismatches, and
-    /// shards whose scenario lists disagree with the manifest.
+    /// Everything [`Scorecard::merge_shards_partial`] rejects, plus
+    /// incomplete coverage — a missing shard or an empty (quarantined)
+    /// scenario table — naming each uncovered scenario and why.
     pub fn merge_shards(
         manifest: &ShardManifest,
         shards: &[ScorecardShard],
     ) -> Result<Scorecard, String> {
-        if shards.len() != manifest.shard_count {
-            return Err(format!(
-                "manifest expects {} shards, got {}",
-                manifest.shard_count,
-                shards.len()
-            ));
+        let (scorecard, coverage) = Self::merge_shards_partial(
+            manifest,
+            shards,
+            &BTreeMap::new(),
+            &BTreeMap::new(),
+            &Collector::noop(),
+        )?;
+        if coverage.is_complete() {
+            return Ok(scorecard);
         }
-        let mut by_index: Vec<Option<&ScorecardShard>> = vec![None; manifest.shard_count];
-        for shard in shards {
-            if shard.master_seed != manifest.master_seed {
-                return Err(format!(
-                    "shard {} carries seed {}, manifest has {}",
-                    shard.shard_index, shard.master_seed, manifest.master_seed
-                ));
-            }
-            let slot = by_index
-                .get_mut(shard.shard_index)
-                .ok_or_else(|| format!("shard index {} out of range", shard.shard_index))?;
-            if slot.is_some() {
-                return Err(format!("duplicate shard index {}", shard.shard_index));
-            }
-            *slot = Some(shard);
-        }
-        // Walk the manifest's global scenario order, consuming each
-        // shard's rankings positionally (names double-checked).
-        let mut cursors = vec![0usize; manifest.shard_count];
-        let mut per_scenario = Vec::with_capacity(manifest.scenarios.len());
-        let mut cost = CostAggregate::default();
-        for (name, shard_idx) in &manifest.scenarios {
-            // The manifest may come from untrusted JSON: its shard
-            // indices are not pre-validated.
-            let shard = by_index
-                .get(*shard_idx)
-                .and_then(|slot| *slot)
-                .ok_or_else(|| {
-                    format!("manifest names shard {shard_idx}, which is out of range")
-                })?;
-            let ranking = shard
-                .per_scenario
-                .get(cursors[*shard_idx])
-                .ok_or_else(|| format!("shard {shard_idx} is short a scenario"))?;
-            cursors[*shard_idx] += 1;
-            if &ranking.scenario != name {
-                return Err(format!(
-                    "shard {shard_idx} has scenario {:?} where manifest expects {name:?}",
-                    ranking.scenario
-                ));
-            }
-            per_scenario.push(ranking.clone());
-        }
-        for (idx, shard) in by_index.iter().enumerate() {
-            let shard = shard.expect("all shards present");
-            if cursors[idx] != shard.per_scenario.len() {
-                return Err(format!("shard {idx} has scenarios the manifest lacks"));
-            }
-            cost.merge(&shard.cost);
-        }
-        // Every scenario table must rank the same combo set — shards
-        // from runs over different predictor/manager axes (same seed,
-        // same scenario names) would otherwise corrupt the overall
-        // reduction.
-        let combo_set = |ranking: &ScenarioRanking| {
-            let mut combos: Vec<(String, String)> = ranking
-                .entries
-                .iter()
-                .map(|e| (e.predictor.clone(), e.manager.clone()))
-                .collect();
-            combos.sort();
-            combos
-        };
-        if let Some(first) = per_scenario.first() {
-            let reference = combo_set(first);
-            for ranking in &per_scenario[1..] {
-                if combo_set(ranking) != reference {
-                    return Err(format!(
-                        "scenario {:?} ranks a different combo set than {:?} — \
-                         shards come from different matrices",
-                        ranking.scenario, first.scenario
-                    ));
-                }
-            }
-        }
-        let overall = Self::overall_from_per_scenario(&per_scenario);
-        Ok(Scorecard {
-            master_seed: manifest.master_seed,
-            per_scenario,
-            overall,
-            cost,
-            trace_budget: None,
-        })
+        let holes: Vec<String> = coverage
+            .missing
+            .iter()
+            .map(|m| format!("{:?} ({})", m.scenario, m.reason))
+            .collect();
+        Err(format!(
+            "incomplete coverage, {} of {} scenarios missing: {}",
+            holes.len(),
+            manifest.scenarios.len(),
+            holes.join(", ")
+        ))
     }
 
-    /// Subtracts a previously merged shard's contribution — the
-    /// inverse of the bucket-wise merge law behind
-    /// [`Scorecard::merge_shards`]. The returned scorecard is exactly
-    /// what merging every *other* shard of `manifest` produces: the
-    /// shard's scenario tables are removed at their manifest
-    /// positions and the overall table re-derives through the shared
-    /// reduction, so a retract-then-reabsorb round-trip is
-    /// byte-identical (pinned by a property test).
+    /// The shard merge: reassembles whatever shards are present,
+    /// reporting the holes.
     ///
-    /// Cost accounting follows the [`pred_metrics::CostAggregate`] split:
-    /// summed fields (`jobs`, wall total) subtract; `peak_candidates`
-    /// is recomputed from the remaining entries; the non-serialized
-    /// machine-dependent maxima (peak wall, peak trace memory) are
-    /// high-water marks of work already performed and deliberately
-    /// keep their values.
-    ///
-    /// # Errors
-    ///
-    /// Rejects seed mismatches, out-of-range shard indices, and — the
-    /// load-bearing guard — a shard whose scenario tables are not
-    /// byte-for-byte the ones this scorecard absorbed at the
-    /// manifest's positions (a foreign or already-retracted shard
-    /// would otherwise silently corrupt the reduction).
-    pub fn retract_shard(
-        &self,
-        manifest: &ShardManifest,
-        shard: &ScorecardShard,
-    ) -> Result<Scorecard, String> {
-        if shard.master_seed != manifest.master_seed || self.master_seed != manifest.master_seed {
-            return Err(format!(
-                "seed mismatch: scorecard {}, manifest {}, shard {}",
-                self.master_seed, manifest.master_seed, shard.master_seed
-            ));
-        }
-        if shard.shard_index >= manifest.shard_count {
-            return Err(format!(
-                "shard index {} out of range (manifest has {} shards)",
-                shard.shard_index, manifest.shard_count
-            ));
-        }
-        if self.per_scenario.len() != manifest.scenarios.len() {
-            return Err(format!(
-                "scorecard has {} scenario tables where the manifest names {} — \
-                 retraction needs the fully merged scorecard",
-                self.per_scenario.len(),
-                manifest.scenarios.len()
-            ));
-        }
-        let mut kept = Vec::with_capacity(self.per_scenario.len());
-        let mut shard_cursor = 0usize;
-        for ((name, shard_idx), ranking) in manifest.scenarios.iter().zip(&self.per_scenario) {
-            if &ranking.scenario != name {
-                return Err(format!(
-                    "scorecard has scenario {:?} where manifest expects {name:?}",
-                    ranking.scenario
-                ));
-            }
-            if *shard_idx != shard.shard_index {
-                kept.push(ranking.clone());
-                continue;
-            }
-            let absorbed = shard.per_scenario.get(shard_cursor).ok_or_else(|| {
-                format!(
-                    "shard {} is short a scenario: manifest assigns it {name:?}",
-                    shard.shard_index
-                )
-            })?;
-            shard_cursor += 1;
-            if absorbed != ranking {
-                return Err(format!(
-                    "shard {} table for {name:?} is not the one this scorecard \
-                     absorbed — refusing to retract a foreign shard",
-                    shard.shard_index
-                ));
-            }
-        }
-        if shard_cursor != shard.per_scenario.len() {
-            return Err(format!(
-                "shard {} has scenarios the manifest never assigned to it",
-                shard.shard_index
-            ));
-        }
-        let jobs = self.cost.jobs.checked_sub(shard.cost.jobs).ok_or_else(|| {
-            format!(
-                "shard retracts {} jobs but the scorecard only holds {}",
-                shard.cost.jobs, self.cost.jobs
-            )
-        })?;
-        let overall = Self::overall_from_per_scenario(&kept);
-        let cost = CostAggregate {
-            jobs,
-            total_wall_nanos: self
-                .cost
-                .total_wall_nanos
-                .saturating_sub(shard.cost.total_wall_nanos),
-            peak_candidates: kept
-                .iter()
-                .flat_map(|r| r.entries.iter().map(|e| e.peak_candidates))
-                .max()
-                .unwrap_or(0),
-            ..self.cost
-        };
-        Ok(Scorecard {
-            master_seed: self.master_seed,
-            per_scenario: kept,
-            overall,
-            cost,
-            trace_budget: None,
-        })
-    }
-
-    /// Re-inserts one shard into a scorecard that
-    /// [`Scorecard::retract_shard`] removed it from — the other
-    /// direction of the inverse law. The shard's tables slot back into
-    /// their manifest positions and the overall table re-derives, so
-    /// the result is byte-identical to merging all shards at once.
-    ///
-    /// # Errors
-    ///
-    /// Rejects seed mismatches, out-of-range indices, a scorecard
-    /// whose tables do not line up with the manifest minus this shard,
-    /// and shards whose combo set disagrees with the retained tables.
-    pub fn absorb_shard(
-        &self,
-        manifest: &ShardManifest,
-        shard: &ScorecardShard,
-    ) -> Result<Scorecard, String> {
-        if shard.master_seed != manifest.master_seed || self.master_seed != manifest.master_seed {
-            return Err(format!(
-                "seed mismatch: scorecard {}, manifest {}, shard {}",
-                self.master_seed, manifest.master_seed, shard.master_seed
-            ));
-        }
-        if shard.shard_index >= manifest.shard_count {
-            return Err(format!(
-                "shard index {} out of range (manifest has {} shards)",
-                shard.shard_index, manifest.shard_count
-            ));
-        }
-        let mut per_scenario = Vec::with_capacity(manifest.scenarios.len());
-        let mut kept_cursor = 0usize;
-        let mut shard_cursor = 0usize;
-        for (name, shard_idx) in &manifest.scenarios {
-            let (source, ranking) = if *shard_idx == shard.shard_index {
-                let ranking = shard.per_scenario.get(shard_cursor).ok_or_else(|| {
-                    format!(
-                        "shard {} is short a scenario: manifest assigns it {name:?}",
-                        shard.shard_index
-                    )
-                })?;
-                shard_cursor += 1;
-                ("shard", ranking)
-            } else {
-                let ranking = self.per_scenario.get(kept_cursor).ok_or_else(|| {
-                    format!("scorecard is short a scenario: manifest expects {name:?}")
-                })?;
-                kept_cursor += 1;
-                ("scorecard", ranking)
-            };
-            if &ranking.scenario != name {
-                return Err(format!(
-                    "{source} has scenario {:?} where manifest expects {name:?}",
-                    ranking.scenario
-                ));
-            }
-            per_scenario.push(ranking.clone());
-        }
-        if shard_cursor != shard.per_scenario.len() {
-            return Err(format!(
-                "shard {} has scenarios the manifest never assigned to it",
-                shard.shard_index
-            ));
-        }
-        if kept_cursor != self.per_scenario.len() {
-            return Err(
-                "scorecard has scenario tables the manifest does not account for".to_string(),
-            );
-        }
-        // The same cross-matrix guard merge_shards applies: every table
-        // must rank one combo set.
-        if let (Some(reference), Some(incoming)) =
-            (self.per_scenario.first(), shard.per_scenario.first())
-        {
-            let combo_set = |ranking: &ScenarioRanking| {
-                let mut combos: Vec<(String, String)> = ranking
-                    .entries
-                    .iter()
-                    .map(|e| (e.predictor.clone(), e.manager.clone()))
-                    .collect();
-                combos.sort();
-                combos
-            };
-            if combo_set(reference) != combo_set(incoming) {
-                return Err(format!(
-                    "shard {} ranks a different combo set than the scorecard — \
-                     it comes from a different matrix",
-                    shard.shard_index
-                ));
-            }
-        }
-        let overall = Self::overall_from_per_scenario(&per_scenario);
-        let mut cost = self.cost;
-        cost.merge(&shard.cost);
-        Ok(Scorecard {
-            master_seed: self.master_seed,
-            per_scenario,
-            overall,
-            cost,
-            trace_budget: None,
-        })
-    }
-
-    /// [`Scorecard::merge_shards`] with the merge recorded into a run
-    /// ledger: counts the scenario tables reassembled
-    /// (`merge/scenario_tables`) — deliberately *not* the shard count,
-    /// which would differ between shard splits of the same run and
-    /// break the ledger's byte-identity across splits.
-    pub fn merge_shards_observed(
-        manifest: &ShardManifest,
-        shards: &[ScorecardShard],
-        collector: &Collector,
-    ) -> Result<Scorecard, String> {
-        let merged = Self::merge_shards(manifest, shards)?;
-        if collector.is_enabled() {
-            collector.count("merge/scenario_tables", manifest.scenarios.len() as u64);
-            for ranking in &merged.per_scenario {
-                collector.count_scenario(&ranking.scenario, "merge/merged_tables", 1);
-            }
-        }
-        Ok(merged)
-    }
-
-    /// Merges whatever shards survived, reporting the holes.
-    ///
-    /// This is the graceful-degradation counterpart of
-    /// [`Scorecard::merge_shards`]: shards may be missing (a worker
-    /// exhausted its retry budget) and present shards may carry empty
-    /// ranking tables (a scenario quarantined in-process). The merged
-    /// scorecard contains only the covered scenarios' tables, and the
+    /// Shards may be missing (a worker exhausted its retry budget) and
+    /// present shards may carry empty ranking tables (a scenario
+    /// quarantined in-process). The merged scorecard contains only the
+    /// covered scenarios' tables, concatenated in manifest order, and
+    /// the overall table re-derives through the shared reduction; the
     /// returned [`CoverageManifest`] names every missing scenario with
-    /// a reason — an honest partial answer, never a silently wrong
-    /// one. With every shard present and no empty tables, the output
-    /// scorecard is byte-identical to [`Scorecard::merge_shards`] and
-    /// the coverage manifest is complete (a test pins this).
+    /// a reason — an honest partial answer, never a silently wrong one.
+    /// With every shard present and no empty tables, the scorecard is
+    /// byte-identical to the monolithic one and the coverage is
+    /// complete.
     ///
     /// `shard_reasons` explains absent shard indices;
     /// `scenario_reasons` annotates scenarios whose tables came back
-    /// empty (e.g. quarantine errors from the worker artifact).
+    /// empty (e.g. quarantine errors from the worker artifact). The
+    /// merge records `merge/scenario_tables` and per-scenario
+    /// `merge/merged_tables` for the covered tables into `collector` —
+    /// deliberately *not* the shard count, which differs between shard
+    /// splits of the same run and would break the ledger's
+    /// byte-identity across splits.
     ///
     /// # Errors
     ///
-    /// Present shards are validated as strictly as the complete merge:
-    /// foreign seeds, duplicate or out-of-range indices, scenario-name
-    /// mismatches, and combo-set disagreement all fail. A shard both
-    /// present and listed in `shard_reasons` is a caller bug and
-    /// fails too.
+    /// Foreign seeds, duplicate or out-of-range indices (in shards or
+    /// in the manifest), scenario-name mismatches, and covered tables
+    /// that rank different combo sets (shards from different matrices)
+    /// all fail. A shard both present and listed in `shard_reasons` is
+    /// a caller bug and fails too.
     pub fn merge_shards_partial(
         manifest: &ShardManifest,
         shards: &[ScorecardShard],
-        shard_reasons: &std::collections::BTreeMap<usize, String>,
-        scenario_reasons: &std::collections::BTreeMap<String, String>,
+        shard_reasons: &BTreeMap<usize, String>,
+        scenario_reasons: &BTreeMap<String, String>,
+        collector: &Collector,
     ) -> Result<(Scorecard, CoverageManifest), String> {
         let mut by_index: Vec<Option<&ScorecardShard>> = vec![None; manifest.shard_count];
         for shard in shards {
@@ -725,11 +428,15 @@ impl Scorecard {
             }
             *slot = Some(shard);
         }
+        // Walk the manifest's global scenario order, consuming each
+        // present shard's rankings positionally (names double-checked).
         let mut cursors = vec![0usize; manifest.shard_count];
-        let mut per_scenario = Vec::new();
+        let mut per_scenario = Vec::with_capacity(manifest.scenarios.len());
         let mut coverage = CoverageManifest::default();
         let mut cost = CostAggregate::default();
         for (name, shard_idx) in &manifest.scenarios {
+            // The manifest may come from untrusted JSON: its shard
+            // indices are not pre-validated.
             if *shard_idx >= manifest.shard_count {
                 return Err(format!(
                     "manifest names shard {shard_idx}, which is out of range"
@@ -778,17 +485,19 @@ impl Scorecard {
             }
             cost.merge(&shard.cost);
         }
-        // The combo-set agreement check from the complete merge, over
-        // the covered tables only.
-        let combo_set = |ranking: &ScenarioRanking| {
-            let mut combos: Vec<(String, String)> = ranking
+        // Every covered table must rank the same combo set — shards
+        // from runs over different predictor/manager axes (same seed,
+        // same scenario names) would otherwise corrupt the overall
+        // reduction.
+        fn combo_set(ranking: &ScenarioRanking) -> Vec<(&str, &str)> {
+            let mut combos: Vec<(&str, &str)> = ranking
                 .entries
                 .iter()
-                .map(|e| (e.predictor.clone(), e.manager.clone()))
+                .map(|e| (e.predictor.as_str(), e.manager.as_str()))
                 .collect();
-            combos.sort();
+            combos.sort_unstable();
             combos
-        };
+        }
         if let Some(first) = per_scenario.first() {
             let reference = combo_set(first);
             for ranking in &per_scenario[1..] {
@@ -801,6 +510,12 @@ impl Scorecard {
                 }
             }
         }
+        if collector.is_enabled() {
+            collector.count("merge/scenario_tables", per_scenario.len() as u64);
+            for ranking in &per_scenario {
+                collector.count_scenario(&ranking.scenario, "merge/merged_tables", 1);
+            }
+        }
         let overall = Self::overall_from_per_scenario(&per_scenario);
         Ok((
             Scorecard {
@@ -808,7 +523,6 @@ impl Scorecard {
                 per_scenario,
                 overall,
                 cost,
-                trace_budget: None,
             },
             coverage,
         ))
@@ -878,9 +592,6 @@ impl Scorecard {
             );
         }
         let _ = writeln!(out, "evaluation cost (incl. cached work): {}", self.cost);
-        if let Some(budget) = &self.trace_budget {
-            let _ = writeln!(out, "trace budget: {budget}");
-        }
         out
     }
 }
@@ -1319,74 +1030,6 @@ mod tests {
         .unwrap()
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
-
-        /// Retraction is the exact inverse of the bucket-wise merge:
-        /// subtracting any shard and re-absorbing it reproduces the
-        /// merged scorecard byte-for-byte, for any split and seed.
-        #[test]
-        fn retract_then_reabsorb_round_trips(
-            shard_count in 1usize..=3,
-            retract_raw in 0usize..3,
-            seed_sel in 0usize..2,
-        ) {
-            let seed = [11u64, 2026][seed_sel];
-            let retract = retract_raw % shard_count;
-            let matrix = three_scenario_matrix();
-            let sharded = FleetEngine::new(seed)
-                .run_sharded(&matrix, shard_count)
-                .unwrap();
-            let merged =
-                Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap();
-            let shard = &sharded.shards[retract];
-            let without = merged.retract_shard(&sharded.manifest, shard).unwrap();
-            // The retracted scorecard equals merging the other shards'
-            // tables: no trace of the shard's scenarios remains.
-            for ranking in &without.per_scenario {
-                proptest::prop_assert!(shard
-                    .per_scenario
-                    .iter()
-                    .all(|r| r.scenario != ranking.scenario));
-            }
-            let back = without.absorb_shard(&sharded.manifest, shard).unwrap();
-            proptest::prop_assert_eq!(back.to_json_string(), merged.to_json_string());
-            proptest::prop_assert_eq!(back.cost.jobs, merged.cost.jobs);
-            // Retracting twice must fail: the tables are gone.
-            proptest::prop_assert!(without
-                .retract_shard(&sharded.manifest, shard)
-                .is_err());
-        }
-    }
-
-    #[test]
-    fn retraction_rejects_foreign_and_mismatched_shards() {
-        let matrix = three_scenario_matrix();
-        let sharded = FleetEngine::new(11).run_sharded(&matrix, 2).unwrap();
-        let merged = Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap();
-        // Foreign seed.
-        let mut foreign = sharded.shards[0].clone();
-        foreign.master_seed ^= 1;
-        assert!(merged.retract_shard(&sharded.manifest, &foreign).is_err());
-        // Out-of-range index.
-        let mut out_of_range = sharded.shards[0].clone();
-        out_of_range.shard_index = 9;
-        assert!(merged
-            .retract_shard(&sharded.manifest, &out_of_range)
-            .is_err());
-        // A shard the scorecard never absorbed: same shape, edited
-        // content.
-        let mut edited = sharded.shards[0].clone();
-        edited.per_scenario[0].entries[0].score += 1.0;
-        assert!(merged.retract_shard(&sharded.manifest, &edited).is_err());
-        // Absorbing into a scorecard that still holds the shard's
-        // scenarios must fail (the manifest walk finds too many
-        // tables).
-        assert!(merged
-            .absorb_shard(&sharded.manifest, &sharded.shards[0])
-            .is_err());
-    }
-
     #[test]
     fn merge_rejects_inconsistent_shards() {
         let (matrix, _) = run();
@@ -1418,7 +1061,6 @@ mod tests {
 
     #[test]
     fn partial_merge_with_everything_present_matches_complete_merge() {
-        use std::collections::BTreeMap;
         let matrix = three_scenario_matrix();
         let sharded = FleetEngine::new(11).run_sharded(&matrix, 2).unwrap();
         let complete = Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap();
@@ -1427,6 +1069,7 @@ mod tests {
             &sharded.shards,
             &BTreeMap::new(),
             &BTreeMap::new(),
+            &Collector::noop(),
         )
         .unwrap();
         assert_eq!(partial.to_json_string(), complete.to_json_string());
@@ -1436,7 +1079,6 @@ mod tests {
 
     #[test]
     fn partial_merge_reports_missing_shards_and_empty_tables() {
-        use std::collections::BTreeMap;
         let matrix = three_scenario_matrix();
         let sharded = FleetEngine::new(11).run_sharded(&matrix, 3).unwrap();
         // Drop shard 1 (retry exhaustion) and empty shard 2's table
@@ -1451,13 +1093,26 @@ mod tests {
             "work unit panicked".to_string(),
         )]
         .into();
+        let collector = Collector::recording();
         let (partial, coverage) = Scorecard::merge_shards_partial(
             &sharded.manifest,
             &shards,
             &shard_reasons,
             &scenario_reasons,
+            &collector,
         )
         .unwrap();
+        // The merge counters count covered tables only.
+        let ledger = collector.ledger();
+        assert_eq!(ledger.counter("merge/scenario_tables"), 1);
+        assert_eq!(
+            ledger.scenario_counter(&coverage.covered[0], "merge/merged_tables"),
+            1
+        );
+        assert_eq!(
+            ledger.scenario_counter(&quarantined_scenario, "merge/merged_tables"),
+            0
+        );
         assert_eq!(coverage.covered.len(), 1);
         assert_eq!(coverage.missing.len(), 2);
         assert_eq!(partial.per_scenario.len(), 1);
@@ -1482,6 +1137,7 @@ mod tests {
             &shards,
             &all_reasons,
             &BTreeMap::new(),
+            &Collector::noop(),
         )
         .is_err());
         let mut foreign = shards.clone();
@@ -1491,7 +1147,12 @@ mod tests {
             &foreign,
             &shard_reasons,
             &BTreeMap::new(),
+            &Collector::noop(),
         )
         .is_err());
+        // The strict wrapper names every hole.
+        let err = Scorecard::merge_shards(&sharded.manifest, &shards).unwrap_err();
+        assert!(err.contains("2 of 3 scenarios missing"), "{err}");
+        assert!(err.contains(&quarantined_scenario), "{err}");
     }
 }

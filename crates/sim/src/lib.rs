@@ -19,9 +19,9 @@
 //! * [`SlotHook`] / [`simulate_node_hooked`] — per-slot fault injection
 //!   (dead panels, corrupted sensors) that cannot break the energy
 //!   ledger,
-//! * [`simulate_batch`] — many (predictor, manager, hardware, fault)
-//!   jobs over one trace, the unit the `scenario-fleet` engine
-//!   parallelises.
+//! * [`NodeSimulation`] — the same simulation as a push-style state
+//!   machine fed one slot at a time, which is how the `scenario-fleet`
+//!   engine drives many (predictor, manager) jobs from one slot pass.
 //!
 //! # Example
 //!
@@ -50,7 +50,6 @@
 //! # }
 //! ```
 
-mod batch;
 mod error;
 mod hook;
 mod load;
@@ -60,7 +59,6 @@ mod panel;
 mod storage;
 mod stream;
 
-pub use batch::{simulate_batch, BatchJob, BatchOutcome};
 pub use error::SimError;
 pub use hook::{NoFaults, SlotHook};
 pub use load::Load;

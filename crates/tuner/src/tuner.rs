@@ -52,12 +52,6 @@ pub struct TunerConfig {
     /// The dynamic selector's K ceiling (clamped to the regime's
     /// discretization).
     pub dynamic_k_max: usize,
-    /// Route every engine evaluation through the sharded scorecard
-    /// reduction with this many shards (clamped to each pass's scenario
-    /// count). Sharded reduction is byte-identical to monolithic, so
-    /// the tuner consumes the results unchanged — `None` keeps the
-    /// monolithic path.
-    pub shards: Option<usize>,
     /// Trace-cache policy of every engine evaluation (bounded budgets
     /// stream the overflow; results are byte-identical either way).
     pub cache_policy: TraceCachePolicy,
@@ -85,7 +79,6 @@ impl TunerConfig {
             dynamic_decays: vec![0.7, 0.85, 0.95],
             dynamic_alphas: vec![0.0, 0.25, 0.5, 0.75, 1.0],
             dynamic_k_max: 6,
-            shards: None,
             cache_policy: TraceCachePolicy::default(),
         }
     }
@@ -238,9 +231,6 @@ impl FleetTuner {
         let mut engine = FleetEngine::new(config.master_seed).with_trace_cache(config.cache_policy);
         if let Some(threads) = config.threads {
             engine = engine.with_threads(threads);
-        }
-        if let Some(shards) = config.shards {
-            engine = engine.with_shards(shards);
         }
         Ok(FleetTuner {
             config,
@@ -602,22 +592,20 @@ mod tests {
 
     #[test]
     fn sharded_and_streamed_engines_reproduce_the_monolithic_report() {
-        // The tuner consumes sharded results unchanged: routing every
-        // evaluation through the sharded reduction — or a streaming
-        // trace-cache policy — must reproduce the monolithic report
-        // byte-for-byte.
-        let monolithic = FleetTuner::new(tiny_config(13))
+        // The tuner consumes streamed results unchanged: a
+        // streaming-only trace-cache policy must reproduce the
+        // materialized report byte-for-byte.
+        let materialized = FleetTuner::new(tiny_config(13))
             .unwrap()
             .tune(&tiny_scenarios())
             .unwrap();
-        let mut sharded_config = tiny_config(13);
-        sharded_config.shards = Some(2);
-        sharded_config.cache_policy = TraceCachePolicy::streaming_only();
-        let sharded = FleetTuner::new(sharded_config)
+        let mut streamed_config = tiny_config(13);
+        streamed_config.cache_policy = TraceCachePolicy::streaming_only();
+        let streamed = FleetTuner::new(streamed_config)
             .unwrap()
             .tune(&tiny_scenarios())
             .unwrap();
-        assert_eq!(monolithic.to_json_string(), sharded.to_json_string());
+        assert_eq!(materialized.to_json_string(), streamed.to_json_string());
     }
 
     #[test]

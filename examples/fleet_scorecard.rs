@@ -53,6 +53,7 @@ use scenario_fleet::{
     Catalog, CatalogGenerator, Collector, FleetEngine, FleetMatrix, ManagerSpec, PredictorSpec,
     RunReport, Scorecard, TraceCachePolicy,
 };
+use std::collections::BTreeMap;
 
 #[derive(Default)]
 struct Args {
@@ -260,8 +261,14 @@ fn run(args: Args) -> Result<i32, String> {
             matrix.job_count(),
             "the sharded pass must be answered entirely from the warm cache"
         );
-        let merged =
-            Scorecard::merge_shards_observed(&sharded.manifest, &sharded.shards, &collector)?;
+        let (merged, coverage) = Scorecard::merge_shards_partial(
+            &sharded.manifest,
+            &sharded.shards,
+            &BTreeMap::new(),
+            &BTreeMap::new(),
+            &collector,
+        )?;
+        assert!(coverage.is_complete(), "{}", coverage.render_text());
         assert_eq!(
             merged.to_json_string(),
             result.scorecard.to_json_string(),

@@ -23,6 +23,7 @@ use scenario_fleet::{
     FleetEngine, FleetFault, FleetMatrix, ManagerSpec, NodeProfile, PredictorSpec, RegimeTemplate,
     Scenario, Scorecard, SiteSpec, SpatialFalloff, StreamVersion, TraceCachePolicy,
 };
+use std::collections::BTreeMap;
 
 /// The regime a generated (Shaped) scenario must land in.
 fn expected_regime(climate: Climate) -> Regime {
@@ -345,12 +346,15 @@ fn golden_200_regime_scorecard_is_identical_across_threads_and_shards() {
             assert_eq!(sharded.cached_jobs, matrix.job_count());
             assert_eq!(sharded.shards.len(), shard_count);
             let merge_collector = Collector::recording();
-            let merged = Scorecard::merge_shards_observed(
+            let (merged, coverage) = Scorecard::merge_shards_partial(
                 &sharded.manifest,
                 &sharded.shards,
+                &BTreeMap::new(),
+                &BTreeMap::new(),
                 &merge_collector,
             )
             .unwrap();
+            assert!(coverage.is_complete());
             assert_eq!(
                 merged.to_json_string(),
                 json,
@@ -489,12 +493,7 @@ fn golden_200_regime_v2_scorecard_is_identical_across_threads_and_shards() {
                 .unwrap();
             assert_eq!(sharded.cached_jobs, matrix.job_count());
             assert_eq!(sharded.shards.len(), shard_count);
-            let merged = Scorecard::merge_shards_observed(
-                &sharded.manifest,
-                &sharded.shards,
-                &Collector::noop(),
-            )
-            .unwrap();
+            let merged = Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap();
             assert_eq!(
                 merged.to_json_string(),
                 json,
