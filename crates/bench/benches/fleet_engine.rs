@@ -60,7 +60,12 @@ fn bench_scorecard_reduce(c: &mut Criterion) {
     group.throughput(Throughput::Elements(result.outcomes.len() as u64));
     group.bench_function("reduce_and_render", |b| {
         b.iter(|| {
-            let card = scenario_fleet::Scorecard::build(&matrix, &result.outcomes, 0xBE);
+            let (card, _) = scenario_fleet::Scorecard::build(
+                &matrix,
+                &result.outcomes,
+                0xBE,
+                &std::collections::BTreeMap::new(),
+            );
             black_box(card.to_json_string())
         });
     });

@@ -199,7 +199,6 @@ pub fn run_supervisor(
         ));
     }
     let expected_manifest = shard_manifest(&matrix, config.workload.seed, config.shard_count);
-    let expected_manifest_json = expected_manifest.to_json().render_pretty();
     std::fs::create_dir_all(&config.artifact_dir)
         .map_err(|e| format!("artifact dir {:?}: {e}", config.artifact_dir))?;
 
@@ -306,7 +305,7 @@ pub fn run_supervisor(
                                     &artifact,
                                     shard_index,
                                     config,
-                                    &expected_manifest_json,
+                                    &expected_manifest,
                                 ) {
                                     Err(e) => {
                                         collector.count("harness/corrupt_artifacts", 1);
@@ -383,12 +382,12 @@ pub fn run_supervisor(
                 collector
                     .absorb_ledger(&artifact.ledger)
                     .map_err(|e| format!("shard {shard_index} ledger: {e}"))?;
-                for q in &artifact.quarantined {
-                    scenario_reasons.insert(
-                        q.scenario.clone(),
-                        format!("work unit panicked: {}", q.error),
-                    );
-                }
+                scenario_reasons.extend(
+                    artifact
+                        .quarantined
+                        .iter()
+                        .map(|q| (q.scenario.clone(), q.error.clone())),
+                );
                 shard_docs.push(artifact.shard.clone());
             }
             None => {
@@ -445,12 +444,12 @@ pub fn run_supervisor(
 
 /// Cross-checks a structurally valid artifact against what the
 /// supervisor expects of this shard: right coordinates, right seed, and
-/// a manifest byte-identical to the supervisor's own derivation.
+/// a manifest equal to the supervisor's own derivation.
 fn validate_artifact(
     artifact: &ShardRunArtifact,
     shard_index: usize,
     config: &SupervisorConfig,
-    expected_manifest_json: &str,
+    expected_manifest: &ShardManifest,
 ) -> Result<(), String> {
     if artifact.shard_index != shard_index || artifact.shard.shard_index != shard_index {
         return Err(format!(
@@ -470,7 +469,7 @@ fn validate_artifact(
             artifact.shard.master_seed, config.workload.seed
         ));
     }
-    if artifact.manifest.to_json().render_pretty() != expected_manifest_json {
+    if artifact.manifest != *expected_manifest {
         return Err("manifest disagrees with the supervisor's derivation".to_string());
     }
     Ok(())

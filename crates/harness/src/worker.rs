@@ -62,14 +62,14 @@ pub struct WorkerConfig {
 }
 
 /// Everything one completed worker attempt hands the supervisor.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardRunArtifact {
     /// This worker's shard index.
     pub shard_index: usize,
     /// Total shard count the worker assumed.
     pub shard_count: usize,
     /// The full-matrix manifest the worker derived — the supervisor
-    /// cross-checks it byte-for-byte against its own expectation.
+    /// cross-checks it field-for-field against its own expectation.
     pub manifest: ShardManifest,
     /// The shard's ranking tables and cost.
     pub shard: ScorecardShard,
@@ -333,6 +333,40 @@ mod tests {
             merged.to_json_string(),
             reference.scorecard.to_json_string(),
             "N worker processes must reproduce the single-process scorecard byte-for-byte"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn golden_sized_artifact_round_trips_through_the_envelope() {
+        // Shard 0 of 2 over the golden matrix: 100 scenarios, about
+        // 100 KB of JSON, the document the supervisor decodes per shard.
+        let workload = Workload::new(2026, WorkloadKind::Golden200);
+        let dir = temp_dir("golden_round_trip");
+        let written = dir.join("shard_0.artifact");
+        let code = run_worker(
+            &workload,
+            &WorkerConfig {
+                shard_index: 0,
+                shard_count: 2,
+                out_path: written.clone(),
+                chaos: None,
+                fail: false,
+            },
+        )
+        .unwrap();
+        assert_eq!(code, exit::SUCCESS);
+        let artifact = ShardRunArtifact::read(&written).unwrap();
+        assert_eq!(artifact.shard.per_scenario.len(), 100);
+        let payload_len = artifact.to_json().render_pretty().len();
+        assert!(payload_len > 64 << 10, "payload is only {payload_len} B");
+        let copy = dir.join("copy.artifact");
+        artifact.write_atomic(&copy).unwrap();
+        assert_eq!(ShardRunArtifact::read(&copy).unwrap(), artifact);
+        assert_eq!(
+            std::fs::read(&copy).unwrap(),
+            std::fs::read(&written).unwrap(),
+            "re-encoding a decoded artifact must reproduce its bytes"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -353,83 +353,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 }
             }
         }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match bytes.get(*pos) {
-                    None => return Err(JsonError::at(bytes.len(), "unterminated string")),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match bytes.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'b') => s.push('\u{8}'),
-                            Some(b'f') => s.push('\u{c}'),
-                            Some(b'u') => {
-                                let code = parse_hex4(bytes, *pos + 1)?;
-                                *pos += 4;
-                                let scalar = match code {
-                                    // High surrogate: standard JSON
-                                    // encodes non-BMP characters as a
-                                    // \uD8xx\uDCxx pair (serde_json and
-                                    // Python's ensure_ascii both emit
-                                    // these) — combine it.
-                                    0xD800..=0xDBFF => {
-                                        if bytes.get(*pos + 1..*pos + 3) != Some(b"\\u") {
-                                            return Err(JsonError::at(
-                                                *pos,
-                                                format!("lone high surrogate \\u{code:04x}"),
-                                            ));
-                                        }
-                                        let low = parse_hex4(bytes, *pos + 3)?;
-                                        if !(0xDC00..=0xDFFF).contains(&low) {
-                                            return Err(JsonError::at(
-                                                *pos,
-                                                format!("invalid low surrogate \\u{low:04x}"),
-                                            ));
-                                        }
-                                        *pos += 6;
-                                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
-                                    }
-                                    0xDC00..=0xDFFF => {
-                                        return Err(JsonError::at(
-                                            *pos,
-                                            format!("lone low surrogate \\u{code:04x}"),
-                                        ))
-                                    }
-                                    code => code,
-                                };
-                                s.push(char::from_u32(scalar).ok_or_else(|| {
-                                    JsonError::at(*pos, format!("invalid \\u{scalar:04x}"))
-                                })?);
-                            }
-                            other => {
-                                return Err(JsonError::at(*pos, format!("bad escape {other:?}")))
-                            }
-                        }
-                        *pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest = &bytes[*pos..];
-                        let text = std::str::from_utf8(rest)
-                            .map_err(|e| JsonError::at(*pos, format!("invalid UTF-8: {e}")))?;
-                        let c = text.chars().next().expect("non-empty");
-                        s.push(c);
-                        *pos += c.len_utf8();
-                    }
-                }
-            }
-        }
+        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') if bytes[*pos..].starts_with(b"true") => {
             *pos += 4;
             Ok(Json::Bool(true))
@@ -458,9 +382,98 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
     }
 }
 
+/// Parses a string body; `*pos` is at the opening quote.
+///
+/// Each run of plain bytes up to the next `"` or `\` is appended in one
+/// piece, so decoding is linear in the string's length. Both delimiters
+/// are ASCII, so a run always ends on a character boundary and the
+/// per-run UTF-8 check only re-reads the run itself. Raw control
+/// characters are accepted.
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+    *pos += 1;
+    let mut s = String::new();
+    loop {
+        let run_start = *pos;
+        *pos += bytes[run_start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - run_start);
+        let run = std::str::from_utf8(&bytes[run_start..*pos]).map_err(|e| {
+            JsonError::at(run_start + e.valid_up_to(), format!("invalid UTF-8: {e}"))
+        })?;
+        s.push_str(run);
+        match bytes.get(*pos) {
+            None => return Err(JsonError::at(bytes.len(), "unterminated string")),
+            Some(b'"') => {
+                *pos += 1;
+                return Ok(s);
+            }
+            // The run stopped at a backslash.
+            Some(_) => parse_escape(bytes, pos, &mut s)?,
+        }
+    }
+}
+
+/// Decodes one escape sequence into `s`; `*pos` is at the backslash and
+/// ends just past the sequence.
+fn parse_escape(bytes: &[u8], pos: &mut usize, s: &mut String) -> Result<(), JsonError> {
+    *pos += 1;
+    match bytes.get(*pos) {
+        Some(b'"') => s.push('"'),
+        Some(b'\\') => s.push('\\'),
+        Some(b'/') => s.push('/'),
+        Some(b'n') => s.push('\n'),
+        Some(b'r') => s.push('\r'),
+        Some(b't') => s.push('\t'),
+        Some(b'b') => s.push('\u{8}'),
+        Some(b'f') => s.push('\u{c}'),
+        Some(b'u') => {
+            let code = parse_hex4(bytes, *pos + 1)?;
+            *pos += 4;
+            let scalar = match code {
+                // High surrogate: standard JSON encodes non-BMP
+                // characters as a \uD8xx\uDCxx pair (serde_json and
+                // Python's ensure_ascii both emit these) — combine it.
+                0xD800..=0xDBFF => {
+                    if bytes.get(*pos + 1..*pos + 3) != Some(b"\\u") {
+                        return Err(JsonError::at(
+                            *pos,
+                            format!("lone high surrogate \\u{code:04x}"),
+                        ));
+                    }
+                    let low = parse_hex4(bytes, *pos + 3)?;
+                    if !(0xDC00..=0xDFFF).contains(&low) {
+                        return Err(JsonError::at(
+                            *pos,
+                            format!("invalid low surrogate \\u{low:04x}"),
+                        ));
+                    }
+                    *pos += 6;
+                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                }
+                0xDC00..=0xDFFF => {
+                    return Err(JsonError::at(
+                        *pos,
+                        format!("lone low surrogate \\u{code:04x}"),
+                    ))
+                }
+                code => code,
+            };
+            s.push(
+                char::from_u32(scalar)
+                    .ok_or_else(|| JsonError::at(*pos, format!("invalid \\u{scalar:04x}")))?,
+            );
+        }
+        other => return Err(JsonError::at(*pos, format!("bad escape {other:?}"))),
+    }
+    *pos += 1;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_a_nested_document() {
@@ -569,5 +582,148 @@ mod tests {
         assert_eq!(doc.req("site").unwrap().req_str("preset").unwrap(), "PFCI");
         assert!(doc.req_str("days").is_err());
         assert!(doc.req("missing").is_err());
+    }
+
+    #[test]
+    fn multibyte_runs_meet_escapes_intact() {
+        for text in ["é", "日本", "\u{1F600}"] {
+            for (escape, decoded) in [("\\n", "\n"), ("\\\"", "\""), ("\\ud83d\\ude00", "😀")] {
+                let doc = format!("\"{text}{escape}{text}{escape}{escape}{text}\"");
+                assert_eq!(
+                    Json::parse(&doc).unwrap(),
+                    Json::Str(format!("{text}{decoded}{text}{decoded}{decoded}{text}")),
+                    "{doc:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn escape_only_and_empty_strings_decode() {
+        assert_eq!(Json::parse(r#""""#).unwrap(), Json::Str(String::new()));
+        assert_eq!(
+            Json::parse(r#""\n\t\\\"\/\b\f\r\u0041\ud83d\ude00""#).unwrap(),
+            Json::Str("\n\t\\\"/\u{8}\u{c}\rA😀".to_string())
+        );
+        // Raw control characters inside a string are accepted verbatim.
+        assert_eq!(
+            Json::parse("\"a\u{1}b\tc\nd\"").unwrap(),
+            Json::Str("a\u{1}b\tc\nd".to_string())
+        );
+    }
+
+    #[test]
+    fn string_errors_keep_their_byte_offsets() {
+        for (doc, offset, what) in [
+            ("\"abc", 4, "unterminated string"),
+            ("\"日本", 7, "unterminated string"),
+            ("[\"ok\", \"é", 10, "unterminated string"),
+            ("\"a\\", 3, "bad escape None"),
+            ("\"a\\x\"", 3, "bad escape Some(120)"),
+            ("\"é\\q\"", 4, "bad escape Some(113)"),
+            ("{\"日\\q\": 1}", 6, "bad escape Some(113)"),
+            ("\"\\u12\"", 6, "truncated \\u escape"),
+            ("\"\\uZZZZ\"", 3, "bad \\u escape digits"),
+            ("\"é\\ud83c\"", 8, "lone high surrogate"),
+            ("\"\\ud83c\\u0041\"", 6, "invalid low surrogate"),
+            ("\"\\udf1e\"", 6, "lone low surrogate"),
+        ] {
+            let err = Json::parse_located(doc).unwrap_err();
+            assert_eq!(err.offset, offset, "{doc:?}: {err}");
+            assert!(err.message.contains(what), "{doc:?}: {err}");
+        }
+    }
+
+    /// Reference string decoder: one character per step, with the
+    /// same escape handling. The run scanner must agree with it on
+    /// every input, errors and end positions included.
+    fn parse_string_per_char(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+        *pos += 1;
+        let mut s = String::new();
+        loop {
+            match bytes.get(*pos) {
+                None => return Err(JsonError::at(bytes.len(), "unterminated string")),
+                Some(b'"') => {
+                    *pos += 1;
+                    return Ok(s);
+                }
+                Some(b'\\') => parse_escape(bytes, pos, &mut s)?,
+                Some(_) => {
+                    let rest = std::str::from_utf8(&bytes[*pos..]).unwrap();
+                    let c = rest.chars().next().unwrap();
+                    s.push(c);
+                    *pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Unicode scalars from every UTF-8 width, surrogates excluded.
+    fn any_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            0u32..0x80,
+            0x80u32..0x800,
+            0x800u32..0xD800,
+            0xE000u32..0x1_0000,
+            0x1_0000u32..0x11_0000,
+        ]
+        .prop_map(|code| char::from_u32(code).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_strings_round_trip(chars in proptest::collection::vec(any_char(), 0..64)) {
+            let text: String = chars.into_iter().collect();
+            let rendered = Json::Str(text.clone()).render();
+            let back = Json::parse(&rendered).unwrap();
+            prop_assert_eq!(&back, &Json::Str(text));
+            prop_assert_eq!(back.render(), rendered);
+        }
+
+        #[test]
+        fn run_scanner_matches_the_per_char_decoder(
+            picks in proptest::collection::vec(0usize..17, 0..24)
+        ) {
+            const PIECES: [&str; 17] = [
+                "a", "é", "日本", "😀", " ", "\u{1}", "\"", "\\", "\\n", "\\\"",
+                "\\/", "\\u00e9", "\\ud83d\\ude00", "\\ud83d", "\\ude00", "\\u12", "\\q",
+            ];
+            let doc: String = std::iter::once("\"")
+                .chain(picks.iter().map(|&i| PIECES[i]))
+                .collect();
+            let (mut run_pos, mut char_pos) = (0, 0);
+            let runs = parse_string(doc.as_bytes(), &mut run_pos);
+            let chars = parse_string_per_char(doc.as_bytes(), &mut char_pos);
+            prop_assert_eq!(&runs, &chars, "{:?}", doc);
+            if runs.is_ok() {
+                prop_assert_eq!(run_pos, char_pos, "{:?}", doc);
+            }
+        }
+    }
+
+    #[test]
+    fn string_decode_time_is_linear_in_length() {
+        // Min of three timings per size. Linear decoding gives a ratio
+        // near 8 for 8x the bytes; a scan that re-validates the rest of
+        // the document at every character gives about 64.
+        fn best_of_three(len: usize) -> f64 {
+            let doc = format!("\"{}\"", "x".repeat(len));
+            (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    std::hint::black_box(Json::parse(&doc).unwrap());
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        }
+        let small = best_of_three(64 << 10);
+        let large = best_of_three(512 << 10);
+        let ratio = large / small.max(1e-9);
+        assert!(
+            ratio < 24.0,
+            "512 KiB took {large:.6} s against {small:.6} s for 64 KiB (ratio {ratio:.1})"
+        );
     }
 }

@@ -104,7 +104,7 @@
 use crate::catalog::Scenario;
 use crate::faults::{storage_capacity_factor, FaultInjector, FaultSpec};
 use crate::matrix::{FleetMatrix, JobSpec};
-use crate::scorecard::{Scorecard, ScorecardShard, ShardManifest};
+use crate::scorecard::{CoverageManifest, Scorecard, ScorecardShard, ShardManifest};
 use fleet_obs::Collector;
 use harvest_sim::SlotHook;
 use harvest_sim::{NodeReport, NodeSimulation, SimDayCheckpoint};
@@ -116,7 +116,7 @@ use solar_synth::{SynthCheckpoint, SynthCounters, TraceGenerator};
 #[cfg(test)]
 use solar_trace::PowerTrace;
 use solar_trace::SlotsPerDay;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -206,6 +206,11 @@ pub struct FleetResult {
     /// Scenarios quarantined under [`FleetEngine::with_quarantine`]
     /// (always empty otherwise — failures abort the run instead).
     pub quarantined: Vec<QuarantinedScenario>,
+    /// Which scenarios the scorecard ranks. A quarantined scenario has
+    /// no table and is listed as missing with its error, exactly as
+    /// [`Scorecard::merge_shards_partial`] reports it for a sharded
+    /// run given the same errors as scenario reasons.
+    pub coverage: CoverageManifest,
 }
 
 impl FleetResult {
@@ -774,9 +779,19 @@ impl FleetEngine {
         self.install(|| {
             let _run_span = self.collector.span("fleet");
             let evaluated = self.evaluate_matrix(matrix, cache)?;
-            let scorecard = {
+            let (scorecard, coverage) = {
                 let _span = self.collector.span("fleet/score");
-                Scorecard::build(&evaluated.effective, &evaluated.outcomes, self.master_seed)
+                let reasons: BTreeMap<String, String> = evaluated
+                    .quarantined
+                    .iter()
+                    .map(|q| (q.scenario.clone(), q.error.clone()))
+                    .collect();
+                Scorecard::build(
+                    &evaluated.effective,
+                    &evaluated.outcomes,
+                    self.master_seed,
+                    &reasons,
+                )
             };
             self.collector.count(
                 "score/scenarios_ranked",
@@ -789,6 +804,7 @@ impl FleetEngine {
                 streamed_jobs: evaluated.streamed_jobs,
                 passes: evaluated.passes,
                 quarantined: evaluated.quarantined,
+                coverage,
             })
         })
     }
@@ -2348,38 +2364,59 @@ mod tests {
             table_of(&clean.scorecard, "aging-node")
         );
         assert!(
-            table_of(&result.scorecard, "desert-clear-sky")
-                .entries
-                .is_empty(),
-            "the quarantined scenario's table is empty, not wrong"
+            result
+                .scorecard
+                .per_scenario
+                .iter()
+                .all(|r| r.scenario != "desert-clear-sky"),
+            "the quarantined scenario has no table, not a wrong one"
         );
+        assert_eq!(result.coverage.covered, vec!["aging-node".to_string()]);
+        assert_eq!(result.coverage.missing.len(), 1);
+        assert_eq!(result.coverage.missing[0].scenario, "desert-clear-sky");
+        assert_eq!(
+            result.coverage.missing[0].reason,
+            result.quarantined[0].error
+        );
+        assert!(clean.coverage.is_complete());
     }
 
     #[test]
     fn quarantined_scenario_is_missing_coverage_in_both_merges() {
-        // The monolithic run succeeds with an empty table for the
-        // quarantined scenario; its sharded twin must merge to the same
-        // answer: a named hole, not a combo-set mismatch.
+        // The monolithic run and its sharded twin must give the same
+        // answer for a quarantined scenario: a named hole, not an empty
+        // table on one path and a combo-set mismatch on the other.
         let matrix = small_matrix();
         let engine = FleetEngine::new(42)
             .with_quarantine(true)
             .with_chaos_unit_panic("desert-clear-sky");
-        assert!(engine.run(&matrix).is_ok());
+        let monolithic = engine.run(&matrix).unwrap();
         let sharded = engine.run_sharded(&matrix, 2).unwrap();
         let err = Scorecard::merge_shards(&sharded.manifest, &sharded.shards).unwrap_err();
         assert!(err.contains("incomplete coverage"), "{err}");
         assert!(err.contains("\"desert-clear-sky\""), "{err}");
+        let reasons: BTreeMap<String, String> = sharded
+            .quarantined
+            .iter()
+            .map(|q| (q.scenario.clone(), q.error.clone()))
+            .collect();
         let (merged, coverage) = Scorecard::merge_shards_partial(
             &sharded.manifest,
             &sharded.shards,
-            &std::collections::BTreeMap::new(),
-            &std::collections::BTreeMap::new(),
+            &BTreeMap::new(),
+            &reasons,
             &Collector::noop(),
         )
         .unwrap();
         assert_eq!(coverage.covered, vec!["aging-node".to_string()]);
         assert_eq!(coverage.missing.len(), 1);
         assert_eq!(coverage.missing[0].scenario, "desert-clear-sky");
+        assert_eq!(
+            merged.to_json_string(),
+            monolithic.scorecard.to_json_string(),
+            "monolithic and merged quarantined scorecards must agree byte-for-byte"
+        );
+        assert_eq!(coverage, monolithic.coverage);
         let clean = FleetEngine::new(42).run(&matrix).unwrap();
         assert_eq!(merged.per_scenario, clean.scorecard.per_scenario[1..]);
     }

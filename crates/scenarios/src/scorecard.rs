@@ -201,17 +201,32 @@ fn rank(entries: &mut [ScoreEntry]) {
 impl Scorecard {
     /// Reduces job outcomes (any order; they are re-sorted by matrix
     /// coordinates internally).
-    pub fn build(matrix: &FleetMatrix, outcomes: &[JobOutcome], master_seed: u64) -> Scorecard {
-        let per_scenario = Self::per_scenario_rankings(matrix, outcomes);
+    ///
+    /// A scenario with no outcomes (quarantined in-process) gets no
+    /// table; the returned [`CoverageManifest`] names it, with its
+    /// reason from `scenario_reasons`. This is the shard merge's
+    /// coverage rule, so the result is byte-identical to
+    /// [`Scorecard::merge_shards_partial`] over any shard split of the
+    /// same outcomes given the same reasons.
+    pub fn build(
+        matrix: &FleetMatrix,
+        outcomes: &[JobOutcome],
+        master_seed: u64,
+        scenario_reasons: &BTreeMap<String, String>,
+    ) -> (Scorecard, CoverageManifest) {
+        let mut coverage = CoverageManifest::default();
+        let mut per_scenario = Self::per_scenario_rankings(matrix, outcomes);
+        per_scenario.retain(|ranking| coverage.admit(ranking, scenario_reasons));
         let overall = Self::overall_from_per_scenario(&per_scenario);
-        Scorecard {
+        let scorecard = Scorecard {
             master_seed,
             per_scenario,
             overall,
             // Sums and maxes of integers: order-insensitive, no sort
             // needed.
             cost: CostAggregate::of(outcomes.iter().map(|o| o.cost)),
-        }
+        };
+        (scorecard, coverage)
     }
 
     /// The per-scenario ranking tables of a matrix's outcomes, in matrix
@@ -464,19 +479,9 @@ impl Scorecard {
                     ranking.scenario
                 ));
             }
-            if ranking.entries.is_empty() {
-                let reason = scenario_reasons
-                    .get(name)
-                    .cloned()
-                    .unwrap_or_else(|| "scenario produced no outcomes".to_string());
-                coverage.missing.push(MissingCoverage {
-                    scenario: name.clone(),
-                    reason,
-                });
-                continue;
+            if coverage.admit(ranking, scenario_reasons) {
+                per_scenario.push(ranking.clone());
             }
-            coverage.covered.push(name.clone());
-            per_scenario.push(ranking.clone());
         }
         for (idx, shard) in by_index.iter().enumerate() {
             let Some(shard) = shard else { continue };
@@ -765,6 +770,29 @@ impl CoverageManifest {
         self.missing.is_empty()
     }
 
+    /// Records `ranking` as covered, or — when its table is empty — as
+    /// missing with its reason from `scenario_reasons`. Returns whether
+    /// the table belongs in the scorecard.
+    fn admit(
+        &mut self,
+        ranking: &ScenarioRanking,
+        scenario_reasons: &BTreeMap<String, String>,
+    ) -> bool {
+        if ranking.entries.is_empty() {
+            let reason = scenario_reasons
+                .get(&ranking.scenario)
+                .cloned()
+                .unwrap_or_else(|| "scenario produced no outcomes".to_string());
+            self.missing.push(MissingCoverage {
+                scenario: ranking.scenario.clone(),
+                reason,
+            });
+            return false;
+        }
+        self.covered.push(ranking.scenario.clone());
+        true
+    }
+
     /// Deterministic JSON form: `{schema, covered, missing}`.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -989,8 +1017,9 @@ mod tests {
         let full = FleetEngine::new(11).run(&matrix).unwrap();
         // Drop one job of scenario 0.
         let partial: Vec<_> = full.outcomes.iter().skip(1).cloned().collect();
-        let card = Scorecard::build(&matrix, &partial, 11);
+        let (card, coverage) = Scorecard::build(&matrix, &partial, 11, &BTreeMap::new());
         assert_eq!(card.overall.len(), 4, "all combos still appear");
+        assert!(coverage.is_complete());
         // Drop ALL of scenario 0's jobs: combos come from scenario 1.
         let tail: Vec<_> = full
             .outcomes
@@ -998,8 +1027,11 @@ mod tests {
             .filter(|o| o.spec.scenario_idx == 1)
             .cloned()
             .collect();
-        let card = Scorecard::build(&matrix, &tail, 11);
-        assert!(card.per_scenario[0].entries.is_empty());
+        let (card, coverage) = Scorecard::build(&matrix, &tail, 11, &BTreeMap::new());
+        assert_eq!(card.per_scenario.len(), 1, "scenario 0 has no table");
+        assert_eq!(coverage.missing.len(), 1);
+        assert_eq!(coverage.missing[0].scenario, matrix.scenarios[0].name);
+        assert_eq!(coverage.missing[0].reason, "scenario produced no outcomes");
         assert_eq!(card.overall.len(), 4);
         assert!(card.overall.iter().all(|e| e.score.is_finite()));
     }
